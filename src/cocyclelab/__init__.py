@@ -16,7 +16,6 @@ from .words import (
     BlockScheduleSource,
     EpochSchedule,
     block_schedule_prefix,
-    emit_prefix,
     occurrences,
     empirical_frequency,
     decompose_returns,
@@ -37,7 +36,6 @@ from .matrices import (
     phi,
     birkhoff_tau,
     spectral_radius,
-    scaled_multiply,
     log_norm_bounds,
     matrix_to_text,
     matrix_from_text,
@@ -50,7 +48,6 @@ from .cocycles import (
     lyapunov_trace,
     geometric_checkpoints,
     partial_product,
-    evaluate,
     quasi_additivity_defect,
     default_defect_pairs,
     check_positivity_condition,

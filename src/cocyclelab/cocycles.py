@@ -33,7 +33,7 @@ from .matrices import (
     rows_mul,
     log_norm_bounds,
 )
-from .words import Alphabet, FiniteWord, WordSource, _generator
+from .words import Alphabet, FiniteWord, WordSource, _bernoulli_symbols, _markov_symbols
 
 _NEG_INF = float("-inf")
 
@@ -129,11 +129,11 @@ class CocycleSpec:
                 f"prefix of length {len(symbols)} too short; need {stop + r - 1}",
                 required=stop + r - 1,
             )
-        if r == 1:
-            return symbols[start:stop].astype(np.intp)
-        win = sliding_window_view(symbols, r)[start:stop]
-        powers = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
-        return (win.astype(np.int64) @ powers).astype(np.intp)
+        idx = symbols[start:stop].astype(np.intp)
+        for k in range(1, r):  # Horner's rule over the window's r symbols
+            idx *= m
+            idx += symbols[start + k : stop + k]
+        return idx
 
     def describe(self) -> dict:
         d = {
@@ -156,10 +156,6 @@ class CocycleSpec:
             default=d.get("default"),
             declared_ell0=d.get("declared_ell0"),
         )
-
-
-def evaluate(spec: CocycleSpec, window: FiniteWord) -> NonNegMatrix:
-    return spec.evaluate(window)
 
 
 def _renorm_cadence(a_star: float, a_upper: float, d: int) -> int:
@@ -227,16 +223,7 @@ def _accumulate(spec: CocycleSpec, idx: np.ndarray, checkpoints: Sequence[int] =
             cp_ptr += 1
             next_cp = cps[cp_ptr] if cp_ptr < len(cps) else None
 
-    if zero_index is not None:
-        final = ScaledProduct(d, np.zeros((d, d)), zero_rows, _NEG_INF, n)
-        return values, zero_index, final
-    s = float(M.sum())
-    if s == 0.0:
-        raise UnderflowError_(
-            "entry-sum collapsed on a structurally nonzero product", position=n
-        )
-    final = ScaledProduct(d, M / s, rows, acc + math.log(s), n)
-    return values, zero_index, final
+    return values, zero_index, ScaledProduct.from_raw(M, rows, acc, n)
 
 
 def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> ScaledProduct:
@@ -393,11 +380,12 @@ def quasi_additivity_defect(spec: CocycleSpec, prefix: FiniteWord,
 @dataclass(frozen=True)
 class PositivityWitness:
     """Observed window u whose ell0-step product is strictly positive,
-    together with the entry floor b of that product."""
+    together with that product and its entry floor b."""
 
     u: FiniteWord
     ell0: int
     b: float
+    product: NonNegMatrix
 
 
 def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
@@ -418,23 +406,23 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
     arr = sample_prefix.symbols
 
     def witness_for(word_syms: np.ndarray, ell: int) -> PositivityWitness | None:
+        idx = spec.factor_indices(word_syms, 0, ell).tolist()
         rows = identity_rows(d)
-        for t in range(ell):
-            f = spec.word_index(word_syms[t : t + r])
+        for f in idx:
             rows = rows_mul(rows, spec._rows[f])
             if all(x == 0 for x in rows):
                 return None
         if rows != full_rows:
             return None
         P = np.eye(d)
-        for t in range(ell):
-            P = P @ spec._mats[spec.word_index(word_syms[t : t + r])]
+        for f in idx:
+            P = P @ spec._mats[f]
         b = float(P.min())
         if b <= 0.0:
             raise UnderflowError_(
                 "positive support product underflowed to float zero", position=ell
             )
-        return PositivityWitness(FiniteWord(word_syms, spec.alphabet), ell, b)
+        return PositivityWitness(FiniteWord(word_syms, spec.alphabet), ell, b, NonNegMatrix(P))
 
     for ell in range(1, max_ell + 1):
         wlen = ell + r - 1
@@ -488,11 +476,7 @@ class BernoulliMeasure(MeasureModel):
         return float(np.prod(self.probabilities[word.symbols]))
 
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
-        u = _generator(seed, stream=replica).random(n)
-        cum = np.cumsum(self.probabilities)
-        return np.minimum(
-            np.searchsorted(cum, u, side="right"), self.alphabet.size - 1
-        ).astype(np.uint8)
+        return _bernoulli_symbols(self.probabilities, n, seed, replica)
 
 
 class MarkovMeasure(MeasureModel):
@@ -505,11 +489,7 @@ class MarkovMeasure(MeasureModel):
         self.transition = P
         self.alphabet = Alphabet(P.shape[0])
         if stationary is None:
-            vals, vecs = np.linalg.eig(P.T)
-            k = int(np.argmin(np.abs(vals - 1.0)))
-            pi = np.real(vecs[:, k])
-            pi = np.abs(pi) / np.abs(pi).sum()
-            stationary = pi
+            stationary = _stationary_vector(P)
         self.stationary = np.asarray(stationary, dtype=float)
         if abs(self.stationary.sum() - 1.0) > 1e-9:
             raise DomainError("stationary vector must sum to 1")
@@ -524,19 +504,29 @@ class MarkovMeasure(MeasureModel):
         return float(mass)
 
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
-        u = _generator(seed, stream=replica).random(max(n, 1))
-        cum_rows = np.cumsum(self.transition, axis=1)
-        cum0 = np.cumsum(self.stationary)
-        out = np.empty(n, dtype=np.uint8)
-        if n == 0:
-            return out
-        m1 = self.alphabet.size - 1
-        state = min(int(np.searchsorted(cum0, u[0], side="right")), m1)
-        out[0] = state
-        for t in range(1, n):
-            state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), m1)
-            out[t] = state
-        return out
+        return _markov_symbols(self.transition, self.stationary, n, seed, replica)
+
+
+def _stationary_vector(P: np.ndarray) -> np.ndarray:
+    """The unique stationary vector of a chain with exactly one closed
+    communicating class, decided from the transition support alone."""
+    m = len(P)
+    reach = (P > 0) | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # paths of every length up to 2^k >= m
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    # i lies in a closed class iff every state it reaches reaches it back
+    closed = np.all(reach <= reach.T, axis=1)
+    if len({reach[i].tobytes() for i in np.flatnonzero(closed)}) != 1:
+        raise DomainError(
+            "chain has several closed communicating classes, so its stationary "
+            "vector is not unique; pass one explicitly"
+        )
+    vals, vecs = np.linalg.eig(P[np.ix_(closed, closed)].T)
+    k = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.abs(np.real(vecs[:, k]))
+    out = np.zeros(m)
+    out[closed] = pi / pi.sum()
+    return out
 
 
 class PeriodicAtomicMeasure(MeasureModel):

@@ -326,44 +326,39 @@ class ScaledProduct:
         nonzero entry has underflowed to float zero."""
         return NonNegMatrix(self.unit, self.support, _position=self.length)
 
+    @classmethod
+    def from_raw(cls, raw: np.ndarray, support_rows: tuple, log_scale: float,
+                 length: int) -> "ScaledProduct":
+        """Accumulator for exp(log_scale) * raw with the given exact support.
+
+        A structurally zero support gives the zero product; otherwise raw is
+        divided by its entry sum, which must be positive (else the product
+        underflowed) and finite (else it overflowed).
+        """
+        if all(r == 0 for r in support_rows):
+            return cls(raw.shape[0], np.zeros_like(raw), support_rows, float("-inf"), length)
+        s = float(raw.sum())
+        if s == 0.0:
+            raise UnderflowError_(
+                "entry-sum collapsed to zero on a structurally nonzero product",
+                position=length,
+            )
+        if not math.isfinite(s):
+            raise RangeError("entry-sum overflowed; rescale the factors")
+        return cls(raw.shape[0], raw / s, support_rows, log_scale + math.log(s), length)
+
     def multiply(self, B) -> "ScaledProduct":
         """Accumulator for (old product) . B."""
         B = as_matrix(B)
         if B.dim != self.dim:
             raise DomainError("dimension mismatch")
         rows = rows_mul(self.support_rows, rows_from_support(B.support))
-        raw = self.unit @ B.entries
-        if all(r == 0 for r in rows):
-            return ScaledProduct(
-                self.dim, np.zeros_like(raw), rows, float("-inf"), self.length + 1
-            )
-        s = float(raw.sum())
-        if s == 0.0:
-            raise UnderflowError_(
-                "entry-sum collapsed to zero on a structurally nonzero product",
-                position=self.length + 1,
-            )
-        if not math.isfinite(s):
-            raise RangeError("entry-sum overflowed; rescale the factors")
-        return ScaledProduct(self.dim, raw / s, rows, self.log_norm + math.log(s), self.length + 1)
-
-
-def scaled_multiply(acc: ScaledProduct, B) -> ScaledProduct:
-    """Functional form of :meth:`ScaledProduct.multiply`."""
-    return acc.multiply(B)
+        return ScaledProduct.from_raw(self.unit @ B.entries, rows, self.log_norm, self.length + 1)
 
 
 def _squared(acc: ScaledProduct) -> ScaledProduct:
     rows = rows_mul(acc.support_rows, acc.support_rows)
-    raw = acc.unit @ acc.unit
-    if all(r == 0 for r in rows):
-        return ScaledProduct(acc.dim, np.zeros_like(raw), rows, float("-inf"), acc.length * 2)
-    s = float(raw.sum())
-    if s == 0.0:
-        raise UnderflowError_("entry-sum collapsed while squaring", position=acc.length * 2)
-    return ScaledProduct(
-        acc.dim, raw / s, rows, 2.0 * acc.log_norm + math.log(s), acc.length * 2
-    )
+    return ScaledProduct.from_raw(acc.unit @ acc.unit, rows, 2.0 * acc.log_norm, acc.length * 2)
 
 
 def spectral_radius(B, tol: float = 1e-14, max_squarings: int = 200) -> float:

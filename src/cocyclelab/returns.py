@@ -99,10 +99,7 @@ def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int, max_ell: int,
         shift_exits_u = None
     # The ell0-step product is constant on [u] for a depth-r table, so the
     # quasi-multiplicativity constant is that single product's c(P).
-    P = np.eye(spec.dim)
-    for t in range(ell0):
-        P = P @ spec._mats[spec.word_index(u.symbols[t : t + spec.depth])]
-    c1 = elem_constant(P)
+    c1 = elem_constant(witness.product)
     return MarkerSelection(u, ell0, b, p, z_prefix, v, k0_eff, c1, shift_exits_u)
 
 

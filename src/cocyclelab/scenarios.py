@@ -1,6 +1,6 @@
-"""Scenario registry: each entry wires a word source to a cocycle (or a
-weighted-average spec), runs a declared analysis plan, and grades the
-observed behavior against an expected qualitative tag.
+"""Scenario registry: each entry builds a word source and a cocycle (or a
+weighted-average spec), runs its analysis steps in order through one step
+table, and grades the observed behavior against an expected qualitative tag.
 
 Tags: converges | oscillates | minus-infinity | condition-fails. The
 verdict is a pure function of the saved artifact document, so re-grading
@@ -10,7 +10,7 @@ a run's verdict.json reproduces the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,13 +31,13 @@ from .words import (
     BernoulliSource,
     BlockScheduleSource,
     EpochSchedule,
-    FiniteWord,
     PeriodicSource,
     SquarefreeSource,
     SubstitutionSource,
     decompose_returns,
     long_word_mass,
     prefix_doubling_program,
+    run_alternation_preset,
     run_alternation_program,
     triple_growth_program,
     paired_growth_program,
@@ -63,19 +63,19 @@ _FIB = [[1.0, 1.0], [1.0, 0.0]]
 
 @dataclass(frozen=True)
 class Scenario:
+    """A builder of the scenario's objects plus the analysis steps that run
+    on them, in order (names from ``STEPS``)."""
+
     name: str
     citation: str
     expected: str
-    analysis: str
     defaults: dict
     build: Callable[[dict], dict]
-    run: Callable[[dict], "ScenarioResult"]
+    steps: tuple[str, ...]
 
-
-@dataclass
-class ScenarioResult:
-    artifacts: dict
-    files: dict = field(default_factory=dict)  # filename -> text content
+    @property
+    def analysis(self) -> str:
+        return "+".join(self.steps)
 
 
 def verdict_from_artifacts(doc: dict) -> str:
@@ -130,25 +130,6 @@ _TRACE_DEFAULTS = {
 }
 
 
-def _run_trace_scenario(build, config, extra: Callable[[dict, dict], None] | None = None):
-    parts = build(config)
-    spec, source = parts["cocycle"], parts["source"]
-    cps = geometric_checkpoints(8, int(config["horizon"]))
-    trace = lyapunov_trace(spec, source, cps)
-    artifacts = {
-        "quantities": {
-            "exponent_estimate": trace.slope_estimate(),
-            "final_exponent": float(trace.exponents[-1]),
-            "zero_index": trace.zero_index,
-        },
-        "verdict_inputs": _trace_verdict_inputs(trace, config),
-    }
-    files = {"trace.csv": trace.to_csv()}
-    if extra is not None:
-        extra(parts, artifacts)
-    return ScenarioResult(artifacts, files)
-
-
 # --- builders ---------------------------------------------------------------
 
 
@@ -157,6 +138,7 @@ def _build_fibonacci(config):
     return {
         "source": PeriodicSource("0", alphabet),
         "cocycle": CocycleSpec(alphabet, 1, {"0": _FIB}),
+        "reference": {"golden_log": math.log((1 + math.sqrt(5)) / 2)},
     }
 
 
@@ -179,6 +161,7 @@ def _build_bernoulli_positive(config):
     return {
         "source": BernoulliSource([0.5, 0.5], seed=int(config["seed"])),
         "cocycle": CocycleSpec(Alphabet(2), 1, _VARIED_PAIR),
+        "measure": BernoulliMeasure([0.5, 0.5]),
     }
 
 
@@ -222,25 +205,17 @@ def _fx_cocycle(depth: int) -> CocycleSpec:
 def _build_fx(config):
     preset = config["preset"]
     if preset == "deep":
-        pair = lambda i: int(config["pair_base"]) ** i
-        run = lambda i: int(config["run_slope"]) * i + int(config["run_offset"])
-        desc = {
-            "preset": "run_alternation",
-            "pair_base": int(config["pair_base"]),
-            "run_slope": int(config["run_slope"]),
-            "run_offset": int(config["run_offset"]),
-        }
+        program = run_alternation_preset(
+            int(config["pair_base"]), int(config["run_slope"]), int(config["run_offset"])
+        )
     elif preset == "shallow":
-        pair = lambda i: 4**i
-        run = lambda i: max(1, math.ceil(math.log2(4**i)))
-        desc = None
+        program = run_alternation_program(
+            lambda i: 4**i, lambda i: max(1, math.ceil(math.log2(4**i)))
+        )
     elif preset == "tower":
-        pair = lambda i: 2 ** (2 ** (2**i))
-        run = lambda i: 2 ** (2**i)
-        desc = None
+        program = run_alternation_program(lambda i: 2 ** (2 ** (2**i)), lambda i: 2 ** (2**i))
     else:
         raise ConfigError(f"unknown fx preset {preset!r}")
-    program = run_alternation_program(pair, run, description=desc)
     return {
         "source": BlockScheduleSource(program),
         "cocycle": _fx_cocycle(int(config["depth"])),
@@ -273,101 +248,92 @@ def _build_nilpotent(config):
     }
 
 
-# --- runners ----------------------------------------------------------------
+# --- analysis steps ---------------------------------------------------------
+# Each step reads the built parts and the config, adds its quantities (and,
+# for the step that grades the run, the verdict inputs) to the artifact
+# document, and may add artifact files.
 
 
-def _run_fibonacci(config):
-    def extra(parts, artifacts):
-        exact = periodic_exponent(parts["cocycle"], FiniteWord("0", Alphabet(1)))
-        q = artifacts["quantities"]
-        q["periodic_exact"] = exact
-        q["golden_log"] = math.log((1 + math.sqrt(5)) / 2)
-
-    return _run_trace_scenario(_build_fibonacci, config, extra)
-
-
-def _run_thue_morse(config):
-    def extra(parts, artifacts):
-        spec, source = parts["cocycle"], parts["source"]
-        n = int(config["horizon"])
-        prefix = source.prefix(n + spec.depth - 1)
-        sel = select_marker(spec, prefix, k0=int(config["k0"]), max_ell=4)
-        est = return_formula_estimate(spec, prefix, sel, cutoff=int(config["cutoff"]))
-        q = artifacts["quantities"]
-        q["return_estimate"] = est.estimate
-        q["correction_band"] = est.correction_band
-        q["long_mass"] = est.long_mass
-        q["cross_check_gap"] = abs(est.estimate - artifacts["quantities"]["final_exponent"])
-        artifacts.setdefault("returns", {})["estimate_json"] = est.to_json()
-
-    result = _run_trace_scenario(_build_thue_morse, config, extra)
-    returns_doc = result.artifacts.pop("returns", None)
-    if returns_doc:
-        result.files["returns.json"] = returns_doc["estimate_json"]
-    return result
+def _step_trace(parts, config, artifacts, files):
+    cps = geometric_checkpoints(8, int(config["horizon"]))
+    trace = lyapunov_trace(parts["cocycle"], parts["source"], cps)
+    artifacts["quantities"].update({
+        "exponent_estimate": trace.slope_estimate(),
+        "final_exponent": float(trace.exponents[-1]),
+        "zero_index": trace.zero_index,
+    })
+    artifacts["verdict_inputs"] = _trace_verdict_inputs(trace, config)
+    files["trace.csv"] = trace.to_csv()
 
 
-def _run_bernoulli_positive(config):
-    def extra(parts, artifacts):
-        spec = parts["cocycle"]
-        est = lambda_estimate(
-            spec,
-            BernoulliMeasure([0.5, 0.5]),
-            n=int(config["lambda_n"]),
-            replicas=int(config["replicas"]),
-            seed=int(config["seed"]) + 1,
-        )
-        q = artifacts["quantities"]
-        q["lambda_mean"] = est.mean
-        q["lambda_stderr"] = est.stderr
-        q["orbit_vs_lambda_gap"] = abs(q["exponent_estimate"] - est.mean)
-
-    return _run_trace_scenario(_build_bernoulli_positive, config, extra)
+def _step_periodic(parts, config, artifacts, files):
+    exact = periodic_exponent(parts["cocycle"], parts["source"].cycle)
+    artifacts["quantities"]["periodic_exact"] = exact
 
 
-def _run_nolimit(config):
-    def extra(parts, artifacts):
-        # The head word occurs once and is transient, so scan the observed
-        # windows from position 1 when judging the positivity condition.
-        spec, source = parts["cocycle"], parts["source"]
-        sample = source.prefix(min(int(config["horizon"]), 100_000))
-        hit = check_positivity_condition(spec, sample, max_ell=int(config["max_ell"]), start=1)
-        artifacts["quantities"]["positivity_witness"] = (
-            None if hit is None else {"u": hit.u.to_text(), "ell0": hit.ell0, "b": hit.b}
-        )
+def _step_returns(parts, config, artifacts, files):
+    spec, source = parts["cocycle"], parts["source"]
+    prefix = source.prefix(int(config["horizon"]) + spec.depth - 1)
+    sel = select_marker(spec, prefix, k0=int(config["k0"]), max_ell=4)
+    est = return_formula_estimate(spec, prefix, sel, cutoff=int(config["cutoff"]))
+    q = artifacts["quantities"]
+    q["return_estimate"] = est.estimate
+    q["correction_band"] = est.correction_band
+    q["long_mass"] = est.long_mass
+    q["cross_check_gap"] = abs(est.estimate - q["final_exponent"])
+    files["returns.json"] = est.to_json()
 
-    return _run_trace_scenario(_build_nolimit, config, extra)
+
+def _step_lambda(parts, config, artifacts, files):
+    # replica streams are keyed by the orbit seed + 1, so they never replay
+    # the orbit the trace step follows
+    est = lambda_estimate(
+        parts["cocycle"],
+        parts["measure"],
+        n=int(config["lambda_n"]),
+        replicas=int(config["replicas"]),
+        seed=int(config["seed"]) + 1,
+    )
+    q = artifacts["quantities"]
+    q["lambda_mean"] = est.mean
+    q["lambda_stderr"] = est.stderr
+    q["orbit_vs_lambda_gap"] = abs(q["exponent_estimate"] - est.mean)
 
 
-def _run_gap(config):
-    parts = _build_gap(config)
-    source = parts["source"]
+def _step_check(parts, config, artifacts, files):
+    # The head word occurs once and is transient, so scan the observed
+    # windows from position 1 when judging the positivity condition.
+    sample = parts["source"].prefix(min(int(config["horizon"]), 100_000))
+    hit = check_positivity_condition(
+        parts["cocycle"], sample, max_ell=int(config["max_ell"]), start=1
+    )
+    artifacts["quantities"]["positivity_witness"] = (
+        None if hit is None else {"u": hit.u.to_text(), "ell0": hit.ell0, "b": hit.b}
+    )
+
+
+def _step_mass(parts, config, artifacts, files):
     marker = parts["marker_base"].prefix(int(config["marker_length"]))
     masses = []
     for n in config["horizons"]:
-        decomp = decompose_returns(source.prefix(int(n)), marker)
+        decomp = decompose_returns(parts["source"].prefix(int(n)), marker)
         masses.append(long_word_mass(decomp, int(config["cutoff"])))
-    artifacts = {
-        "quantities": {
-            "marker": marker.to_text(),
-            "cutoff": int(config["cutoff"]),
-            "horizons": [int(n) for n in config["horizons"]],
-            "long_mass": masses,
-        },
-        "verdict_inputs": {
-            "kind": "long-mass",
-            "long_mass": masses,
-            "mass_floor": config["mass_floor"],
-        },
+    artifacts["quantities"].update({
+        "marker": marker.to_text(),
+        "cutoff": int(config["cutoff"]),
+        "horizons": [int(n) for n in config["horizons"]],
+        "long_mass": masses,
+    })
+    artifacts["verdict_inputs"] = {
+        "kind": "long-mass",
+        "long_mass": masses,
+        "mass_floor": config["mass_floor"],
     }
-    return ScenarioResult(artifacts)
 
 
-def _run_besicovitch(config):
-    parts = _build_besicovitch(config)
-    wspec = parts["weighted"]
+def _step_spectrum(parts, config, artifacts, files):
     betas = np.linspace(config["beta_min"], config["beta_max"], int(config["beta_count"]))
-    points = spectrum_curve(wspec, betas, horizon=int(config["horizon"]))
+    points = spectrum_curve(parts["weighted"], betas, horizon=int(config["horizon"]))
     errs = []
     dim0 = None
     for pt in points:
@@ -376,24 +342,29 @@ def _run_besicovitch(config):
         errs.append(abs(pt.dim - entropy))
         if abs(pt.beta) < 1e-12:
             dim0 = pt.dim
-    artifacts = {
-        "quantities": {
-            "max_error_vs_entropy": max(errs),
-            "dim_at_beta_zero": dim0,
-        },
-        "verdict_inputs": {
-            "kind": "spectrum",
-            "max_error": max(errs),
-            "tolerance": config["tolerance"],
-            "dim_at_zero_error": abs((dim0 if dim0 is not None else 0.0) - 1.0),
-            "zero_tolerance": config["zero_tolerance"],
-        },
+    artifacts["quantities"].update({
+        "max_error_vs_entropy": max(errs),
+        "dim_at_beta_zero": dim0,
+    })
+    artifacts["verdict_inputs"] = {
+        "kind": "spectrum",
+        "max_error": max(errs),
+        "tolerance": config["tolerance"],
+        "dim_at_zero_error": abs((dim0 if dim0 is not None else 0.0) - 1.0),
+        "zero_tolerance": config["zero_tolerance"],
     }
-    return ScenarioResult(artifacts, {"spectrum.csv": spectrum_to_csv(points)})
+    files["spectrum.csv"] = spectrum_to_csv(points)
 
 
-def _simple_trace_runner(build):
-    return lambda config: _run_trace_scenario(build, config)
+STEPS = {
+    "trace": _step_trace,
+    "periodic": _step_periodic,
+    "returns": _step_returns,
+    "lambda": _step_lambda,
+    "check": _step_check,
+    "mass": _step_mass,
+    "spectrum": _step_spectrum,
+}
 
 
 REGISTRY: dict[str, Scenario] = {}
@@ -411,120 +382,109 @@ _register(Scenario(
     name="fibonacci-periodic",
     citation="Fibonacci matrix on a fixed letter: exponent is log of the golden ratio",
     expected="converges",
-    analysis="trace",
     defaults={**_TRACE_DEFAULTS, "horizon": 10_000},
     build=_build_fibonacci,
-    run=_run_fibonacci,
+    steps=("trace", "periodic"),
 ))
 
 _register(Scenario(
     name="thue-morse-positive",
     citation="Thue-Morse substitution stream with a strictly positive pair; trace vs return-word estimate",
     expected="converges",
-    analysis="trace+returns",
     defaults={**_TRACE_DEFAULTS, "horizon": 200_000, "k0": 8, "cutoff": 64},
     build=_build_thue_morse,
-    run=_run_thue_morse,
+    steps=("trace", "returns"),
 ))
 
 _register(Scenario(
     name="squarefree-positive",
     citation="Squarefree indicator (Moebius-square) stream with a strictly positive pair",
     expected="converges",
-    analysis="trace",
     defaults={**_TRACE_DEFAULTS, "horizon": 200_000, "capacity": 1 << 21},
     build=_build_squarefree,
-    run=_simple_trace_runner(_build_squarefree),
+    steps=("trace",),
 ))
 
 _register(Scenario(
     name="bernoulli-positive",
     citation="Fair-coin stream with a strictly positive pair; single orbit against the sampled mean",
     expected="converges",
-    analysis="trace+lambda",
     # checkpoint-to-checkpoint steps of a coin-driven orbit carry CLT noise
     # of a few 1e-4 at these horizons; the verdict threshold is set above it
     defaults={**_TRACE_DEFAULTS, "convergence_threshold": 5e-3,
               "horizon": 400_000, "seed": 7,
               "lambda_n": 10_000, "replicas": 100},
     build=_build_bernoulli_positive,
-    run=_run_bernoulli_positive,
+    steps=("trace", "lambda"),
 ))
 
 _register(Scenario(
     name="nolimit",
     citation="Walters-style doubled-prefix blocks over diagonal/antidiagonal matrices, tower epochs",
     expected="oscillates",
-    analysis="trace+check",
     defaults={**_TRACE_DEFAULTS, "horizon": 1_200, "seed": 3,
               "schedule": "tower", "schedule_base": 4, "max_ell": 6},
     build=_build_nolimit,
-    run=_run_nolimit,
+    steps=("trace", "check"),
 ))
 
 _register(Scenario(
     name="nolimit-geometric",
     citation="Walters-style doubled-prefix blocks, geometric epochs sized for desk horizons",
     expected="oscillates",
-    analysis="trace+check",
     defaults={**_TRACE_DEFAULTS, "horizon": 400_000, "seed": 3,
               "schedule": "geometric", "schedule_base": 4, "max_ell": 6},
     build=_build_nolimit,
-    run=_run_nolimit,
+    steps=("trace", "check"),
 ))
 
 _register(Scenario(
     name="fx-depth-k",
     citation="Rank-one family with entries vanishing near the all-zero word, truncated at finite depth",
     expected="oscillates",
-    analysis="trace",
     defaults={**_TRACE_DEFAULTS, "horizon": 16_500, "depth": 9, "preset": "deep",
               "pair_base": 2, "run_slope": 1, "run_offset": 5},
     build=_build_fx,
-    run=_simple_trace_runner(_build_fx),
+    steps=("trace",),
 ))
 
 _register(Scenario(
     name="gap-blocks",
     citation="Interleaved prefixes of two independent streams: long return words keep positive mass",
     expected="condition-fails",
-    analysis="returns",
     defaults={"horizons": [100_000, 1_000_000], "cutoff": 32, "marker_length": 2,
               "seed_x": 11, "seed_y": 12, "mass_floor": 0.2},
     build=_build_gap,
-    run=_run_gap,
+    steps=("mass",),
 ))
 
 _register(Scenario(
     name="nonergodic-4",
     citation="Two diagonal letters with a swap letter under a non-ergodic three-run schedule",
     expected="oscillates",
-    analysis="trace",
     defaults={**_TRACE_DEFAULTS, "horizon": 600_000, "schedule": "geometric",
               "schedule_base": 4},
     build=_build_nonergodic,
-    run=_simple_trace_runner(_build_nonergodic),
+    steps=("trace",),
 ))
 
 _register(Scenario(
     name="besicovitch",
     citation="Besicovitch-Eggleston digit frequencies: spectrum against the binary entropy curve",
     expected="converges",
-    analysis="spectrum",
     defaults={"beta_min": -5.0, "beta_max": 5.0, "beta_count": 21, "horizon": 1_000,
               "tolerance": 1e-3, "zero_tolerance": 1e-9},
     build=_build_besicovitch,
-    run=_run_besicovitch,
+    steps=("spectrum",),
 ))
 
 _register(Scenario(
     name="nilpotent-halt",
     citation="A nilpotent letter: the product is structurally zero from step two on",
     expected="minus-infinity",
-    analysis="trace",
     defaults={**_TRACE_DEFAULTS, "horizon": 64},
     build=_build_nilpotent,
-    run=_simple_trace_runner(_build_nilpotent),
+    steps=("trace",),
 ))
 
 
@@ -543,17 +503,21 @@ def resolve_config(name: str, overrides: dict | None = None) -> tuple[Scenario, 
 def run_scenario(name: str, overrides: dict | None = None) -> tuple[dict, dict, bool]:
     """Execute a registry entry; returns (artifact doc, files, passed)."""
     scenario, config = resolve_config(name, overrides)
-    result = scenario.run(config)
-    observed = verdict_from_artifacts(result.artifacts)
+    parts = scenario.build(config)
+    artifacts = {"quantities": dict(parts.get("reference", {}))}
+    files: dict[str, str] = {}  # filename -> text content
+    for step in scenario.steps:
+        STEPS[step](parts, config, artifacts, files)
+    observed = verdict_from_artifacts(artifacts)
     doc = {
         "scenario": name,
         "config": config,
         "expected": scenario.expected,
         "observed": observed,
         "pass": observed == scenario.expected,
-        **result.artifacts,
+        **artifacts,
     }
-    return doc, result.files, doc["pass"]
+    return doc, files, doc["pass"]
 
 
 def registry_table() -> list[dict]:

@@ -1,7 +1,7 @@
 """Structured text form shared by word sources, cocycle tables, and
 scenario configs.
 
-Grammar (line oriented, ``#`` starts a comment):
+Grammar (line oriented, ``#`` outside a quoted literal starts a comment):
 
     name {
       key = <python literal>     # numbers, quoted strings, lists, ...
@@ -49,8 +49,21 @@ def loads(text: str) -> tuple[str, dict]:
     root_name = None
     root: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # A '#' may sit inside a quoted literal, so the comment is cut here
+        # only to classify the line; literal_eval reads an assignment's raw
+        # right-hand side and skips a trailing comment itself.
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if "=" in line:
+            if not stack:
+                raise ConfigError(f"line {lineno}: assignment outside any block")
+            key, _, rhs = raw.partition("=")
+            try:
+                value = ast.literal_eval(rhs.strip())
+            except (ValueError, SyntaxError) as exc:
+                raise ConfigError(f"line {lineno}: bad literal {rhs.strip()!r}") from exc
+            stack[-1][key.strip()] = value
             continue
         if line == "}":
             if not stack:
@@ -71,16 +84,6 @@ def loads(text: str) -> tuple[str, dict]:
                 root_name, root = key, block
             stack.append(block)
             names.append(key)
-            continue
-        if "=" in line:
-            if not stack:
-                raise ConfigError(f"line {lineno}: assignment outside any block")
-            key, _, rhs = line.partition("=")
-            try:
-                value = ast.literal_eval(rhs.strip())
-            except (ValueError, SyntaxError) as exc:
-                raise ConfigError(f"line {lineno}: bad literal {rhs.strip()!r}") from exc
-            stack[-1][key.strip()] = value
             continue
         raise ConfigError(f"line {lineno}: cannot parse {raw!r}")
     if stack:

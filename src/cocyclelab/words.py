@@ -51,6 +51,8 @@ def _as_symbol_array(data) -> np.ndarray:
     if isinstance(data, FiniteWord):
         return data.symbols
     if isinstance(data, str):
+        if data and not (data.isascii() and data.isdigit()):
+            raise DomainError(f"word text {data!r} must consist of the digits 0-9")
         return np.frombuffer(data.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.asarray(data, dtype=np.uint8)
     if arr.ndim != 1:
@@ -122,7 +124,10 @@ class FiniteWord:
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "FiniteWord":
         if " " in text:
-            data = [int(tok) for tok in text.split()]
+            tokens = [tok for tok in text.split(" ") if tok]
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise DomainError(f"word text {text!r} must be digits separated by spaces")
+            data = [int(tok) for tok in tokens]
         else:
             data = text
         return cls(data, alphabet)
@@ -253,6 +258,34 @@ def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _bernoulli_symbols(probabilities: np.ndarray, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """n IID symbols drawn from the (seed, stream) Philox stream."""
+    u = _generator(seed, stream).random(n)
+    cum = np.cumsum(probabilities)
+    return np.minimum(
+        np.searchsorted(cum, u, side="right"), len(probabilities) - 1
+    ).astype(np.uint8)
+
+
+def _markov_symbols(transition: np.ndarray, initial: np.ndarray, n: int, seed: int,
+                    stream: int = 0) -> np.ndarray:
+    """First n states of a chain path started from `initial`, drawn from the
+    (seed, stream) Philox stream."""
+    u = _generator(seed, stream).random(max(n, 1))
+    cum_rows = np.cumsum(transition, axis=1)
+    cum0 = np.cumsum(initial)
+    out = np.empty(n, dtype=np.uint8)
+    if n == 0:
+        return out
+    m1 = len(transition) - 1
+    state = min(int(np.searchsorted(cum0, u[0], side="right")), m1)
+    out[0] = state
+    for t in range(1, n):
+        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), m1)
+        out[t] = state
+    return out
+
+
 class BernoulliSource(WordSource):
     """IID symbols with fixed probabilities, seeded and replayable."""
 
@@ -269,11 +302,7 @@ class BernoulliSource(WordSource):
         self.seed = int(seed)
 
     def _materialize(self, n):
-        u = _generator(self.seed).random(n)
-        cum = np.cumsum(self.probabilities)
-        return np.minimum(
-            np.searchsorted(cum, u, side="right"), self.alphabet.size - 1
-        ).astype(np.uint8)
+        return _bernoulli_symbols(self.probabilities, n, self.seed)
 
     def describe(self):
         return {
@@ -305,19 +334,7 @@ class MarkovSource(WordSource):
         self.seed = int(seed)
 
     def _materialize(self, n):
-        u = _generator(self.seed).random(max(n, 1))
-        cum_rows = np.cumsum(self.transition, axis=1)
-        cum0 = np.cumsum(self.initial)
-        out = np.empty(n, dtype=np.uint8)
-        if n == 0:
-            return out
-        state = min(int(np.searchsorted(cum0, u[0], side="right")), self.alphabet.size - 1)
-        out[0] = state
-        m1 = self.alphabet.size - 1
-        for t in range(1, n):
-            state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), m1)
-            out[t] = state
-        return out
+        return _markov_symbols(self.transition, self.initial, n, self.seed)
 
     def describe(self):
         return {
@@ -593,11 +610,6 @@ def run_alternation_preset(pair_base: int = 2, run_slope: int = 1, run_offset: i
     )
 
 
-def emit_prefix(source: WordSource, n: int) -> FiniteWord:
-    """First n symbols of the source's infinite word."""
-    return source.prefix(n)
-
-
 # ---------------------------------------------------------------------------
 # Source (de)serialization
 # ---------------------------------------------------------------------------
@@ -661,18 +673,6 @@ def _program_from_description(d: Mapping) -> BlockProgram:
 # ---------------------------------------------------------------------------
 
 
-def _failure_table(pattern: bytes) -> list[int]:
-    fail = [0] * len(pattern)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
 def occurrences(prefix: FiniteWord, marker: FiniteWord, start: int = 1) -> np.ndarray:
     """All positions k >= start where the marker occurs in the prefix.
 
@@ -684,24 +684,16 @@ def occurrences(prefix: FiniteWord, marker: FiniteWord, start: int = 1) -> np.nd
         raise DomainError("marker must be nonempty")
     if start < 0:
         raise DomainError("start must be non-negative")
-    text = prefix.symbols.tobytes()
-    pat = marker.symbols.tobytes()
+    text, pat = prefix.symbols, marker.symbols
     n, m = len(text), len(pat)
     if start + m > n:
         return np.empty(0, dtype=np.int64)
-    fail = _failure_table(pat)
-    out = []
-    k = 0
-    for i in range(start, n):
-        c = text[i]
-        while k and c != pat[k]:
-            k = fail[k - 1]
-        if c == pat[k]:
-            k += 1
-            if k == m:
-                out.append(i - m + 1)
-                k = fail[k - 1]
-    return np.array(out, dtype=np.int64)
+    # Candidates start where the first marker symbol matches; each later
+    # marker symbol narrows them, so the work shrinks with every pass.
+    cand = np.flatnonzero(text[start : n - m + 1] == pat[0]).astype(np.int64) + start
+    for j in range(1, m):
+        cand = cand[text[cand + j] == pat[j]]
+    return cand
 
 
 def empirical_frequency(prefix: FiniteWord, word: FiniteWord) -> float:

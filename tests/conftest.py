@@ -7,7 +7,7 @@ from cocyclelab import Alphabet, FiniteWord
 
 
 def naive_occurrences(prefix: FiniteWord, marker: FiniteWord, start: int = 1):
-    """Quadratic scan, the reference for the failure-function matcher."""
+    """Quadratic scan, the reference for the vectorised candidate-filter matcher."""
     s, m = prefix.symbols, marker.symbols
     return [
         k

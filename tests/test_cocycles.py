@@ -246,6 +246,8 @@ def test_positivity_witness_needs_two_steps():
     hit = cl.check_positivity_condition(spec, sample, max_ell=3)
     assert hit.ell0 == 2
     assert hit.u.to_text() == "01"  # earliest two-step window with full support
+    expected = np.array(table["0"]) @ np.array(table["1"])
+    assert np.array_equal(hit.product.entries, expected) and hit.b == expected.min()
     exhaustive = cl.check_positivity_condition(spec, sample, max_ell=3, exhaustive=True)
     assert exhaustive.ell0 == 2
 
@@ -316,6 +318,41 @@ def test_frequency_deviations_report():
 def test_default_defect_pairs():
     pairs = cl.default_defect_pairs(100)
     assert pairs and all(n + m <= 100 and n >= 1 and m >= 1 for n, m in pairs)
+
+
+def test_measure_samplers_replay_sources():
+    n, seed = 5_000, 17
+    bern = cl.BernoulliMeasure([0.3, 0.7])
+    assert bern.sample_symbols(n, seed, 0).tobytes() == \
+        cl.BernoulliSource([0.3, 0.7], seed).prefix(n).to_bytes()
+    markov = cl.MarkovMeasure([[0.9, 0.1], [0.4, 0.6]])
+    assert markov.sample_symbols(n, seed, 0).tobytes() == \
+        cl.MarkovSource(markov.transition, markov.stationary, seed).prefix(n).to_bytes()
+    assert bern.sample_symbols(n, seed, 1).tobytes() != bern.sample_symbols(n, seed, 0).tobytes()
+
+
+def test_markov_measure_rejects_several_closed_classes():
+    for P in (np.eye(2), [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+              [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        with pytest.raises(DomainError):
+            cl.MarkovMeasure(P)
+    explicit = cl.MarkovMeasure(np.eye(2), stationary=[0.5, 0.5])
+    assert explicit.stationary.tolist() == [0.5, 0.5]
+
+
+def test_markov_measure_transient_state_gets_no_mass():
+    measure = cl.MarkovMeasure([[0.5, 0.5], [0.0, 1.0]])
+    assert measure.stationary.tolist() == [0.0, 1.0]
+
+
+def test_markov_measure_irreducible_stationary_vector():
+    # reference: the eigenvector of P^T nearest eigenvalue 1, normalised
+    for P in ([[0.9, 0.1], [0.4, 0.6]], [[0.0, 1.0], [1.0, 0.0]],
+              [[0.2, 0.5, 0.3], [0.0, 0.1, 0.9], [0.7, 0.0, 0.3]]):
+        P = np.asarray(P)
+        vals, vecs = np.linalg.eig(P.T)
+        pi = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
+        assert np.array_equal(cl.MarkovMeasure(P).stationary, pi / pi.sum())
 
 
 def test_cylinder_mass_consistency():

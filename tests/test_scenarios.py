@@ -22,6 +22,9 @@ def test_registry_contract():
     for row in table:
         assert row["citation"]
         assert row["expected"] in scenarios.TAGS
+        steps = scenarios.REGISTRY[row["name"]].steps
+        assert steps and set(steps) <= set(scenarios.STEPS)
+        assert row["analysis"] == "+".join(steps)
 
 
 def test_registry_json_schema():
@@ -64,6 +67,9 @@ def test_fibonacci_scenario_passes_and_verdict_is_pure():
     assert passed and doc["observed"] == "converges"
     assert doc["quantities"]["exponent_estimate"] == pytest.approx(
         doc["quantities"]["golden_log"], abs=1e-6
+    )
+    assert doc["quantities"]["periodic_exact"] == pytest.approx(
+        doc["quantities"]["golden_log"], abs=1e-12
     )
     # re-grade the saved artifact document byte-for-byte through JSON
     reloaded = json.loads(json.dumps(doc))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cocyclelab as cl
 from cocyclelab import textform
@@ -29,6 +30,27 @@ def test_comments_and_blank_lines_ignored():
     text = "source {\n\n  # a comment\n  kind = 'periodic'  # trailing\n}\n"
     _, data = textform.loads(text)
     assert data == {"kind": "periodic"}
+
+
+_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_TEXT = st.text(alphabet="ab #{}='\" \\", max_size=10) | st.text(max_size=10)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | _TEXT)
+_LITERALS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
+)
+_BLOCKS = st.recursive(
+    st.dictionaries(_KEYS, _LITERALS, max_size=4),
+    lambda inner: st.dictionaries(_KEYS, _LITERALS | inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCKS)
+@example({"note": "a#b", "brace": "x {", "eq": "k = v # c", "inner": {"close": "}"}})
+def test_round_trip_of_literal_values(data):
+    assert textform.loads(textform.dumps("doc", data)) == ("doc", data)
 
 
 SOURCES = [

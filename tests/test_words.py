@@ -173,9 +173,9 @@ def test_marker_longer_than_prefix():
 def test_occurrence_soundness_and_completeness(text, pat, start):
     a3 = cl.Alphabet(3)
     prefix, marker = cl.FiniteWord(text, a3), cl.FiniteWord(pat, a3)
-    assert cl.occurrences(prefix, marker, start=start).tolist() == naive_occurrences(
-        prefix, marker, start=start
-    )
+    got = cl.occurrences(prefix, marker, start=start)
+    assert got.dtype == np.int64
+    assert got.tolist() == naive_occurrences(prefix, marker, start=start)
 
 
 def test_occurrences_against_naive_large():
@@ -310,3 +310,15 @@ def test_alphabet_validation():
         cl.FiniteWord("012", A2)
     with pytest.raises(DomainError):
         cl.Alphabet(0)
+
+
+def test_word_text_rejects_non_digits():
+    a60 = cl.Alphabet(60)
+    for text in ("a", "0a1", "0 1", "\u0661", "1\t2"):
+        with pytest.raises(DomainError):
+            cl.FiniteWord(text, a60)
+    for text in ("1 a", "3 -1", "1 +2", "0 1\n2"):
+        with pytest.raises(DomainError):
+            cl.FiniteWord.from_text(text, a60)
+    assert cl.FiniteWord.from_text("12 0 59", a60).symbols.tolist() == [12, 0, 59]
+    assert len(cl.FiniteWord("", a60)) == 0
