@@ -9,7 +9,6 @@ and estimates the expected exponent under a sampling measure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -28,14 +27,14 @@ from .matrices import (
     NonNegMatrix,
     ScaledProduct,
     as_matrix,
-    identity_rows,
-    rows_from_support,
-    rows_mul,
+    bool_matmul,
     log_norm_bounds,
 )
 from .words import Alphabet, FiniteWord, WordSource, _bernoulli_symbols, _markov_symbols
 
 _NEG_INF = float("-inf")
+_TINY = 1e-300  # floor for structurally positive entries inside a block
+_GATHER_BYTES = 1 << 20  # budget for the factors one reduction gathers
 
 
 class CocycleSpec:
@@ -44,7 +43,9 @@ class CocycleSpec:
     The table must cover all m^r words; a default matrix may fill the
     unused ones. The minimal structural nonzero entry over the whole table
     (the entry floor) and the maximal entry are recorded once and drive
-    the norm envelope and the renormalization cadence.
+    the norm envelope. For the product kernel every factor is also stored
+    at entry sum 1 with its log sum, next to an identity slot that pads
+    short rows; the smallest normalised entry fixes the block size.
     """
 
     def __init__(self, alphabet: Alphabet, depth: int, table: Mapping, default=None,
@@ -85,9 +86,16 @@ class CocycleSpec:
         self.a_star = self.entry_floor
         self.a_upper = float(max(mat.entries.max() for mat in matrices))
         self.declared_ell0 = declared_ell0
-        self._mats = [np.ascontiguousarray(mat.entries) for mat in matrices]
-        self._rows = [rows_from_support(mat.support) for mat in matrices]
-        self._cadence = _renorm_cadence(self.a_star, self.a_upper, self.dim)
+        stack = np.stack([mat.entries for mat in matrices] + [np.eye(self.dim)])
+        sums = stack.sum(axis=(1, 2))
+        sums[sums == 0.0] = 1.0
+        self._supports = stack > 0
+        self._units = stack / sums[:, None, None]
+        self._log_sums = np.log(sums)
+        self._log_sums[-1] = 0.0  # the identity pad
+        self._units[-1] = np.eye(self.dim)
+        self._pad = count
+        self._block = _block_size(float(self._units[:-1][self._supports[:-1]].min()))
 
     def _normalize_key(self, key) -> str:
         if isinstance(key, FiniteWord):
@@ -120,19 +128,20 @@ class CocycleSpec:
         return self.matrices[self.word_index(window.symbols)]
 
     def factor_indices(self, symbols: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Table indices of the factors at positions start..stop-1."""
+        """Table indices of the factors at positions start..stop-1 (of each
+        row, for a 2-D array of symbol rows)."""
         r, m = self.depth, self.alphabet.size
         if stop <= start:
-            return np.empty(0, dtype=np.intp)
-        if len(symbols) < stop + r - 1:
+            return np.empty(symbols.shape[:-1] + (0,), dtype=np.intp)
+        if symbols.shape[-1] < stop + r - 1:
             raise InsufficientContextError(
-                f"prefix of length {len(symbols)} too short; need {stop + r - 1}",
+                f"prefix of length {symbols.shape[-1]} too short; need {stop + r - 1}",
                 required=stop + r - 1,
             )
-        idx = symbols[start:stop].astype(np.intp)
+        idx = symbols[..., start:stop].astype(np.intp)
         for k in range(1, r):  # Horner's rule over the window's r symbols
             idx *= m
-            idx += symbols[start + k : stop + k]
+            idx += symbols[..., start + k : stop + k]
         return idx
 
     def describe(self) -> dict:
@@ -158,72 +167,183 @@ class CocycleSpec:
         )
 
 
-def _renorm_cadence(a_star: float, a_upper: float, d: int) -> int:
-    # Between renormalizations entries can grow by at most (a_upper*d^2)
-    # per factor and shrink by a_star; keep the float sum well inside range.
-    L = max(abs(math.log(max(a_upper * d * d, 1e-300))), abs(math.log(max(a_star, 1e-300)))) + 1.0
-    return max(1, min(64, int(600.0 / L)))
+def _block_size(q: float) -> int:
+    """Largest power of two B <= 64 with q^B >= _TINY: a product of at most
+    B sum-1 factors keeps every structurally positive entry at or above
+    q^B, far from float underflow, so inside a block `> 0` is exact."""
+    b = 1
+    while b < 64 and 2 * b * math.log(q) >= math.log(_TINY):
+        b *= 2
+    return b
 
 
-def _accumulate(spec: CocycleSpec, idx: np.ndarray, checkpoints: Sequence[int] = ()):
-    """Stream the factors idx[0], idx[1], ... through a scaled product.
+def _ceil_pow2(n):
+    """Smallest power of two >= max(n, 1), elementwise."""
+    return np.left_shift(1, np.ceil(np.log2(np.maximum(n, 1))).astype(np.int64))
 
-    Returns (values, zero_index, final ScaledProduct) where values[i] is
-    the log entry-sum norm after checkpoints[i] factors (-inf past a
-    structural zero). The float unit is renormalized on a cadence chosen
-    from the table's entry range; the support bitmask is updated exactly
-    every step, so the first-zero position is exact.
+
+def _tree(spec: CocycleSpec, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of the factor blocks idx[..., :] (B a power of two), reduced
+    pairwise, as units of entry sum 1 and their log scales. A raw product
+    of at most B sum-1 factors has sum <= 1 and every structurally positive
+    entry >= q^B, so it needs no renormalisation before the block's end.
+    A structurally zero block has unit 0."""
+    P = spec._units[idx]
+    while P.shape[-3] > 1:
+        P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
+    P = P[..., 0, :, :]
+    s = P.sum(axis=(-2, -1))
+    s[s == 0.0] = 1.0
+    P /= s[..., None, None]
+    return P, spec._log_sums[idx].sum(axis=-1) + np.log(s)
+
+
+def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
+    """Exact running supports carry . S_0 ... S_k for every block k along
+    axis 1, by doubling over 0/1 floats clipped at 1."""
+    k = 1
+    while k < sups.shape[1]:
+        step = np.minimum(np.matmul(sups[:, :-k], sups[:, k:]), 1.0)
+        sups = np.concatenate([sups[:, :k], step], axis=1)
+        k *= 2
+    return np.minimum(np.matmul(carry[:, None], sups), 1.0)
+
+
+def _first_zero(spec: CocycleSpec, sup: np.ndarray, block: np.ndarray, start: int) -> int:
+    """Exact step at which the support sup times the factors of block vanishes."""
+    sup = sup > 0
+    for t, f in enumerate(block, start=start + 1):
+        sup = bool_matmul(sup, spec._supports[f])
+        if not sup.any():
+            return t
+    raise AssertionError("block support vanished but no factor zeroed it")
+
+
+def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()):
+    """Products of the factor rows (R, n) of table indices, one per row.
+
+    Each row is cut into blocks of B factors and at every checkpoint; the
+    blocks are reduced by `_tree` and scanned in order, vectorised across
+    rows, with the running support an exact boolean product. Returns
+    (values, zero, unit, log_scale, support): values[r, i] is the log
+    entry-sum norm after checkpoints[i] factors (-inf from the first
+    structural zero on), zero[r] that first zero (0 if none), and
+    exp(log_scale) * unit the product with its exact support.
     """
+    R, n = rows.shape
     d = spec.dim
-    mats = spec._mats
-    rows_list = spec._rows
-    cadence = spec._cadence
-    n = len(idx)
-    cps = list(checkpoints)
-    values = np.full(len(cps), _NEG_INF)
-    cp_ptr = 0
-    next_cp = cps[0] if cps else None
+    B = min(spec._block, 1 << max(n - 1, 0).bit_length())
+    per_row = B * d * d * 8
+    if R > max(1, _GATHER_BYTES // per_row):
+        step = max(1, _GATHER_BYTES // per_row)
+        parts = [_reduce(spec, rows[i : i + step], checkpoints) for i in range(0, R, step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    cps = np.asarray(checkpoints, dtype=np.int64)
+    bounds = np.append(np.arange(0, n, B), n)
+    if len(cps):
+        bounds = np.union1d(bounds, cps)
+    padded = np.concatenate([rows, np.full((R, 1), spec._pad)], axis=1)
 
-    M = np.eye(d)
-    buf = np.empty_like(M)
-    rows = identity_rows(d)
-    zero_rows = (0,) * d
-    acc = 0.0
-    zero_index = None
-    steps = 0
-    t = 0
-    while t < n:
-        f = idx[t]
-        np.matmul(M, mats[f], out=buf)
-        M, buf = buf, M
-        rows = rows_mul(rows, rows_list[f])
-        t += 1
-        if rows == zero_rows:
-            zero_index = t
+    values = np.full((R, len(cps)), _NEG_INF)
+    zero = np.zeros(R, dtype=np.int64)
+    unit = np.tile(np.eye(d), (R, 1, 1))
+    sup = unit.copy()  # 0/1 floats: the exact running support
+    acc = np.zeros(R)
+    chunk = max(1, _GATHER_BYTES // (R * per_row))
+    for j0 in range(0, len(bounds) - 1, chunk):
+        alive = zero == 0
+        if not alive.any():
             break
-        steps += 1
-        if steps >= cadence:
-            s = float(M.sum())
-            if s == 0.0:
+        lo, hi = bounds[:-1][j0 : j0 + chunk], bounds[1:][j0 : j0 + chunk]
+        # blocks cut short by a checkpoint are padded to their own power of two
+        widths = _ceil_pow2(hi - lo)
+        units, logs = np.empty((R, len(lo), d, d)), np.empty((R, len(lo)))
+        for w in np.unique(widths):
+            sel = np.flatnonzero(widths == w)
+            pos = lo[sel, None] + np.arange(w)
+            units[:, sel], logs[:, sel] = _tree(spec, padded[:, np.where(pos < hi[sel, None], pos, n)])
+        sups = _support_prefix(sup, (units > 0).astype(float))
+        live = sups.any(axis=(-2, -1))  # per row, a run of True then False
+        sums = np.empty_like(logs)
+        # a dead row's float product is exactly zero, and nan once divided
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, U in enumerate(units.swapaxes(0, 1)):
+                unit = np.matmul(unit, U)
+                sums[:, k] = s = unit.sum(axis=(1, 2))
+                unit /= s[:, None, None]
+            steps = np.cumsum(logs + np.log(sums), axis=1) + acc[:, None]
+        bad = live & ~((sums > 0.0) & (sums < math.inf))
+        if bad.any():
+            r, k = np.argwhere(bad)[0]
+            if sums[r, k] == 0.0:
                 raise UnderflowError_(
-                    "entry-sum collapsed on a structurally nonzero product", position=t
+                    "entry-sum collapsed on a structurally nonzero product",
+                    position=int(hi[k]),
                 )
-            if not math.isfinite(s):
-                raise RangeError("cocycle product overflowed; rescale the table")
-            M *= 1.0 / s
-            acc += math.log(s)
-            steps = 0
-        if next_cp is not None and t == next_cp:
-            s = float(M.sum())
-            if s == 0.0:
-                raise UnderflowError_(
-                    "entry-sum collapsed on a structurally nonzero product", position=t
-                )
-            values[cp_ptr] = acc + math.log(s)
-            cp_ptr += 1
-            next_cp = cps[cp_ptr] if cp_ptr < len(cps) else None
+            raise RangeError("cocycle product overflowed; rescale the table")
+        for r in np.flatnonzero(alive & ~live[:, -1]):
+            k = int(np.argmin(live[r]))
+            zero[r] = _first_zero(spec, sups[r, k - 1] if k else sup[r], rows[r, lo[k] : hi[k]],
+                                  int(lo[k]))
+        if len(cps):
+            at = np.searchsorted(cps, hi)
+            for k in np.flatnonzero(cps[np.minimum(at, len(cps) - 1)] == hi):
+                values[:, at[k]] = np.where(live[:, k], steps[:, k], _NEG_INF)
+        acc = steps[:, -1]
+        sup = sups[:, -1]
+    unit[zero > 0] = 0.0
+    return values, zero, unit, acc, sup
 
-    return values, zero_index, ScaledProduct.from_raw(M, rows, acc, n)
+
+def _products(spec: CocycleSpec, rows: np.ndarray) -> list[ScaledProduct]:
+    """The final product of each factor row as a ScaledProduct."""
+    _, _, unit, acc, sup = _reduce(spec, rows)
+    n = rows.shape[1]
+    return [ScaledProduct.from_raw(unit[r], sup[r] > 0, float(acc[r]), n)
+            for r in range(len(rows))]
+
+
+def _log_norms(spec: CocycleSpec, rows: np.ndarray) -> np.ndarray:
+    """log entry-sum norm of each factor row's product; -inf on a zero."""
+    _, zero, unit, acc, _ = _reduce(spec, rows)
+    s = unit.sum(axis=(1, 2))
+    s[zero > 0] = 1.0
+    return np.where(zero > 0, _NEG_INF, acc + np.log(s))
+
+
+def _range_log_norms(spec: CocycleSpec, idx: np.ndarray, starts, stops) -> np.ndarray:
+    """`_log_norms` of the ranges idx[a:b], batched in rows grouped by
+    power-of-two padded length."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(stops, dtype=np.int64) - starts
+    padded = np.append(idx, spec._pad)
+    widths = _ceil_pow2(lengths)
+    out = np.empty(len(starts))
+    for w in np.unique(widths):
+        sel = np.flatnonzero(widths == w)
+        cols = np.arange(w)
+        pos = np.where(cols < lengths[sel, None], starts[sel, None] + cols, len(idx))
+        out[sel] = _log_norms(spec, padded[pos])
+    return out
+
+
+def _group_log_norms(spec: CocycleSpec, count: int, n: int, rows_for) -> np.ndarray:
+    """`_log_norms` of count factor rows of length n; rows_for(range) builds
+    the rows of one group, sized so the index rows stay within budget."""
+    out = np.empty(count)
+    group = max(1, _GATHER_BYTES // (8 * n))
+    for i in range(0, count, group):
+        sel = range(i, min(count, i + group))
+        out[i : i + len(sel)] = _log_norms(spec, rows_for(sel))
+    return out
+
+
+def _rotation_rows(spec: CocycleSpec, cycle: np.ndarray, n: int, rotations) -> np.ndarray:
+    """Table indices of the first n factors of cycle^inf shifted by each
+    of the given rotations, one row per rotation."""
+    p = len(cycle)
+    one_period = spec.factor_indices(np.tile(cycle, -(-(p + spec.depth - 1) // p)), 0, p)
+    return one_period[(np.asarray(rotations)[:, None] + np.arange(n)) % p]
 
 
 def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> ScaledProduct:
@@ -234,8 +354,7 @@ def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> Sc
     if n == m:
         return ScaledProduct.empty(spec.dim)
     idx = spec.factor_indices(prefix.symbols, n, m)
-    _, _, final = _accumulate(spec, idx)
-    return final
+    return _products(spec, idx[None])[0]
 
 
 @dataclass(frozen=True)
@@ -301,8 +420,8 @@ def lyapunov_trace(spec: CocycleSpec, source: WordSource, checkpoints) -> Lyapun
     n_max = int(cps[-1])
     prefix = source.prefix(n_max + spec.depth - 1)
     idx = spec.factor_indices(prefix.symbols, 0, n_max)
-    values, zero_index, _ = _accumulate(spec, idx, checkpoints=cps.tolist())
-    return LyapunovTrace(cps, values, zero_index)
+    values, zero, _, _, _ = _reduce(spec, idx[None], cps)
+    return LyapunovTrace(cps, values[0], int(zero[0]) or None)
 
 
 def trace_envelope(spec: CocycleSpec, n: int) -> tuple[float, float]:
@@ -359,14 +478,14 @@ def quasi_additivity_defect(spec: CocycleSpec, prefix: FiniteWord,
         )
     marks = sorted({n for n, _ in pairs} | {n + m for n, m in pairs})
     idx = spec.factor_indices(prefix.symbols, 0, need)
-    values, _, _ = _accumulate(spec, idx, checkpoints=marks)
-    at = dict(zip(marks, values))
+    values, _, _, _, _ = _reduce(spec, idx[None], marks)
+    at = dict(zip(marks, values[0]))
+    middles = _range_log_norms(spec, idx, [n for n, _ in pairs], [n + m for n, m in pairs])
     out = []
     finite = []
     undefined = 0
-    for n, m in pairs:
-        middle = partial_product(spec, prefix, n, n + m)
-        pieces = (at[n + m], at[n], middle.log_norm)
+    for (n, m), middle in zip(pairs, middles):
+        pieces = (at[n + m], at[n], middle)
         if any(v == _NEG_INF for v in pieces):
             out.append(DefectPair(n, m, None))
             undefined += 1
@@ -402,33 +521,38 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
         raise DomainError("max_ell must be >= 1")
     r, m = spec.depth, spec.alphabet.size
     d = spec.dim
-    full_rows = tuple((1 << d) - 1 for _ in range(d))
     arr = sample_prefix.symbols
+    supports = spec._supports.astype(float)
+    chunk = max(1, _GATHER_BYTES // (d * d * 8))
 
-    def witness_for(word_syms: np.ndarray, ell: int) -> PositivityWitness | None:
-        idx = spec.factor_indices(word_syms, 0, ell).tolist()
-        rows = identity_rows(d)
-        for f in idx:
-            rows = rows_mul(rows, spec._rows[f])
-            if all(x == 0 for x in rows):
-                return None
-        if rows != full_rows:
+    def first_witness(windows: np.ndarray, ell: int) -> PositivityWitness | None:
+        # exact support products of all windows at once, first hit in order
+        idx = spec.factor_indices(windows, 0, ell)
+        sup = supports[idx[:, 0]]
+        for t in range(1, ell):
+            sup = np.minimum(np.matmul(sup, supports[idx[:, t]]), 1.0)
+        hits = np.flatnonzero(sup.all(axis=(1, 2)))
+        if len(hits) == 0:
             return None
         P = np.eye(d)
-        for f in idx:
-            P = P @ spec._mats[f]
+        for f in idx[hits[0]]:
+            P = P @ spec.matrices[f].entries
         b = float(P.min())
         if b <= 0.0:
             raise UnderflowError_(
                 "positive support product underflowed to float zero", position=ell
             )
-        return PositivityWitness(FiniteWord(word_syms, spec.alphabet), ell, b, NonNegMatrix(P))
+        return PositivityWitness(FiniteWord(windows[hits[0]], spec.alphabet), ell, b,
+                                 NonNegMatrix(P))
 
     for ell in range(1, max_ell + 1):
         wlen = ell + r - 1
         if exhaustive:
-            for tup in itertools.product(range(m), repeat=wlen):
-                hit = witness_for(np.array(tup, dtype=np.uint8), ell)
+            # all m^wlen words in lexicographic order, one chunk at a time
+            place = m ** np.arange(wlen - 1, -1, -1, dtype=np.int64)
+            for c0 in range(0, m**wlen, chunk):
+                codes = np.arange(c0, min(m**wlen, c0 + chunk), dtype=np.int64)
+                hit = first_witness((codes[:, None] // place % m).astype(np.uint8), ell)
                 if hit is not None:
                     return hit
             continue
@@ -439,8 +563,9 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
             np.dtype((np.void, wlen))
         ).reshape(-1)
         _, first = np.unique(flat, return_index=True)
-        for pos in np.sort(first):
-            hit = witness_for(windows[pos].copy(), ell)
+        distinct = windows[np.sort(first)]
+        for c0 in range(0, len(distinct), chunk):
+            hit = first_witness(distinct[c0 : c0 + chunk], ell)
             if hit is not None:
                 return hit
     return None
@@ -595,25 +720,17 @@ def lambda_estimate(spec: CocycleSpec, measure: MeasureModel, n: int,
         raise DomainError("n must be >= 1")
     r = spec.depth
     if isinstance(measure, PeriodicAtomicMeasure):
-        vals = []
-        for t in range(measure.period):
-            syms = measure.rotation_prefix(t, n + r - 1)
-            idx = spec.factor_indices(syms, 0, n)
-            _, zero_index, final = _accumulate(spec, idx)
-            vals.append(_NEG_INF if zero_index is not None else final.log_norm / n)
-        arr = np.array(vals)
+        arr = _group_log_norms(
+            spec, measure.period, n,
+            lambda sel: _rotation_rows(spec, measure.cycle.symbols, n, sel)) / n
         finite = arr[np.isfinite(arr)]
         minus_inf = int(len(arr) - len(finite))
         mean = float(finite.mean()) if len(finite) else _NEG_INF
         return LambdaEstimate(mean, 0.0, arr, n, measure.period, minus_inf)
     if replicas < 1:
         raise DomainError("replicas must be >= 1")
-    vals = np.empty(replicas)
-    for rep in range(replicas):
-        syms = measure.sample_symbols(n + r - 1, seed, rep)
-        idx = spec.factor_indices(syms, 0, n)
-        _, zero_index, final = _accumulate(spec, idx)
-        vals[rep] = _NEG_INF if zero_index is not None else final.log_norm / n
+    vals = _group_log_norms(spec, replicas, n, lambda sel: spec.factor_indices(
+        np.stack([measure.sample_symbols(n + r - 1, seed, rep) for rep in sel]), 0, n)) / n
     finite = vals[np.isfinite(vals)]
     minus_inf = int(len(vals) - len(finite))
     if len(finite) == 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -115,52 +114,7 @@ def as_matrix(B) -> NonNegMatrix:
 
 def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact boolean matrix product (OR of ANDs)."""
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
-
-
-# --- support rows as bitmasks (fast exact zero tracking in streams) -------
-
-
-def rows_from_support(support: np.ndarray) -> tuple:
-    weights = 1 << np.arange(support.shape[1], dtype=np.int64)
-    return tuple(int(x) for x in support.astype(np.int64) @ weights)
-
-
-def support_from_rows(rows: Sequence[int], d: int) -> np.ndarray:
-    out = np.zeros((len(rows), d), dtype=bool)
-    for i, r in enumerate(rows):
-        for j in range(d):
-            out[i, j] = bool((r >> j) & 1)
-    return out
-
-
-_ROWS_MUL_CACHE: dict = {}
-
-
-def rows_mul(a: tuple, b: tuple) -> tuple:
-    """Bitmask-row product: row i of the result ORs the rows of b selected
-    by the set bits of a[i]. Memoized; distinct patterns are few."""
-    key = (a, b)
-    hit = _ROWS_MUL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = []
-    for ra in a:
-        acc = 0
-        r = ra
-        while r:
-            low = r & -r
-            acc |= b[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    res = tuple(out)
-    if len(_ROWS_MUL_CACHE) < (1 << 16):
-        _ROWS_MUL_CACHE[key] = res
-    return res
-
-
-def identity_rows(d: int) -> tuple:
-    return tuple(1 << i for i in range(d))
+    return np.matmul(a.astype(bool, copy=False), b.astype(bool, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +248,26 @@ class ScaledProduct:
     entry-sum norm of the full product without overflow.
 
     The length-0 accumulator represents the empty product: its unit is the
-    identity (not sum-normalized) and its log_norm is 0. The boolean
-    support rides along as exact bitmask rows; a product is zero iff its
-    support product is zero.
+    identity (not sum-normalized) and its log_norm is 0. The exact boolean
+    support rides along; a product is zero iff its support product is zero.
     """
 
-    __slots__ = ("dim", "unit", "support_rows", "log_norm", "length")
+    __slots__ = ("dim", "unit", "support", "log_norm", "length")
 
-    def __init__(self, dim, unit, support_rows, log_norm, length):
+    def __init__(self, dim, unit, support, log_norm, length):
         self.dim = dim
         self.unit = unit
-        self.support_rows = support_rows
+        self.support = support
         self.log_norm = log_norm
         self.length = length
 
     @classmethod
     def empty(cls, d: int) -> "ScaledProduct":
-        return cls(d, np.eye(d), identity_rows(d), 0.0, 0)
+        return cls(d, np.eye(d), np.eye(d, dtype=bool), 0.0, 0)
 
     @property
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.support_rows)
-
-    @property
-    def support(self) -> np.ndarray:
-        return support_from_rows(self.support_rows, self.dim)
+        return not bool(self.support.any())
 
     @property
     def unit_matrix(self) -> NonNegMatrix:
@@ -327,7 +276,7 @@ class ScaledProduct:
         return NonNegMatrix(self.unit, self.support, _position=self.length)
 
     @classmethod
-    def from_raw(cls, raw: np.ndarray, support_rows: tuple, log_scale: float,
+    def from_raw(cls, raw: np.ndarray, support: np.ndarray, log_scale: float,
                  length: int) -> "ScaledProduct":
         """Accumulator for exp(log_scale) * raw with the given exact support.
 
@@ -335,8 +284,8 @@ class ScaledProduct:
         divided by its entry sum, which must be positive (else the product
         underflowed) and finite (else it overflowed).
         """
-        if all(r == 0 for r in support_rows):
-            return cls(raw.shape[0], np.zeros_like(raw), support_rows, float("-inf"), length)
+        if not support.any():
+            return cls(raw.shape[0], np.zeros_like(raw), support, float("-inf"), length)
         s = float(raw.sum())
         if s == 0.0:
             raise UnderflowError_(
@@ -345,20 +294,15 @@ class ScaledProduct:
             )
         if not math.isfinite(s):
             raise RangeError("entry-sum overflowed; rescale the factors")
-        return cls(raw.shape[0], raw / s, support_rows, log_scale + math.log(s), length)
+        return cls(raw.shape[0], raw / s, support, log_scale + math.log(s), length)
 
     def multiply(self, B) -> "ScaledProduct":
         """Accumulator for (old product) . B."""
         B = as_matrix(B)
         if B.dim != self.dim:
             raise DomainError("dimension mismatch")
-        rows = rows_mul(self.support_rows, rows_from_support(B.support))
-        return ScaledProduct.from_raw(self.unit @ B.entries, rows, self.log_norm, self.length + 1)
-
-
-def _squared(acc: ScaledProduct) -> ScaledProduct:
-    rows = rows_mul(acc.support_rows, acc.support_rows)
-    return ScaledProduct.from_raw(acc.unit @ acc.unit, rows, 2.0 * acc.log_norm, acc.length * 2)
+        sup = bool_matmul(self.support, B.support)
+        return ScaledProduct.from_raw(self.unit @ B.entries, sup, self.log_norm, self.length + 1)
 
 
 def spectral_radius(B, tol: float = 1e-14, max_squarings: int = 200) -> float:
@@ -366,22 +310,33 @@ def spectral_radius(B, tol: float = 1e-14, max_squarings: int = 200) -> float:
 
     Gelfand estimates ||B^(2^k)||^(1/2^k) are monitored until two
     successive values differ by less than tol * max(1, estimate); exact
-    for d = 1 and structurally-zero powers (acyclic support) return 0.
+    for d = 1, and a nilpotent support (B^d structurally zero) gives 0.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     B = as_matrix(B)
     if B.dim == 1:
         return float(B.entries[0, 0])
-    if B.is_zero:
+    sup = B.support
+    for _ in range((B.dim - 1).bit_length()):  # B^(2^k) with 2^k >= d
+        sup = bool_matmul(sup, sup)
+    if not sup.any():
         return 0.0
-    acc = ScaledProduct.empty(B.dim).multiply(B)
+    s = float(B.entries.sum())
+    unit, log_norm, length = B.entries / s, math.log(s), 1
     prev = None
     for k in range(1, max_squarings + 1):
-        acc = _squared(acc)
-        if acc.is_zero:
-            return 0.0
-        est = math.exp(acc.log_norm / acc.length)
+        unit = unit @ unit
+        length *= 2
+        s = float(unit.sum())
+        if s == 0.0:
+            raise UnderflowError_(
+                "entry-sum collapsed to zero on a structurally nonzero product",
+                position=length,
+            )
+        unit = unit / s
+        log_norm = 2.0 * log_norm + math.log(s)
+        est = math.exp(log_norm / length)
         if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
             return est
         prev = est

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CocycleSpec, _accumulate, check_positivity_condition, partial_product
+from .cocycles import (
+    CocycleSpec,
+    _products,
+    _range_log_norms,
+    _reduce,
+    _rotation_rows,
+    check_positivity_condition,
+)
 from .errors import (
     ConditionUnsatisfiedError,
     DomainError,
@@ -144,23 +151,17 @@ def _block_log_norms(spec: CocycleSpec, prefix: FiniteWord,
                      decomp: ReturnDecomposition) -> np.ndarray:
     """log||A^(tau_{j-1}, tau_j)|| for j = 0..count, grouped by the block's
     symbols (with the depth lookahead) so each distinct block is computed
-    once."""
+    once, all in one batch."""
     r = spec.depth
     arr = prefix.symbols
-    taus = np.concatenate([[0], decomp.return_times])
-    out = np.empty(len(taus) - 1)
-    cache: dict[bytes, float] = {}
-    for j in range(len(taus) - 1):
-        a, b = int(taus[j]), int(taus[j + 1])
-        key = arr[a : b + r - 1].tobytes()
-        val = cache.get(key)
-        if val is None:
-            idx = spec.factor_indices(arr, a, b)
-            _, zero_index, final = _accumulate(spec, idx)
-            val = _NEG_INF if zero_index is not None else final.log_norm
-            cache[key] = val
-        out[j] = val
-    return out
+    taus = np.concatenate([[0], decomp.return_times]).astype(np.int64)
+    first: dict[bytes, int] = {}
+    which = [first.setdefault(arr[a : b + r - 1].tobytes(), len(first))
+             for a, b in zip(taus[:-1].tolist(), taus[1:].tolist())]
+    distinct = np.unique(which, return_index=True)[1]
+    idx = spec.factor_indices(arr, 0, int(taus[-1]))
+    logs = _range_log_norms(spec, idx, taus[distinct], taus[distinct + 1])
+    return logs[np.asarray(which)]
 
 
 def return_formula_estimate(spec: CocycleSpec, prefix: FiniteWord,
@@ -239,12 +240,10 @@ def quasi_multiplicativity_check(spec: CocycleSpec, prefix: FiniteWord,
         raise InsufficientContextError("no return time leaves room for the probe", required=ell)
     marks = sorted({t for t in taus} | {t + ell for t in taus})
     idx = spec.factor_indices(prefix.symbols, 0, marks[-1])
-    values, _, _ = _accumulate(spec, idx, checkpoints=marks)
-    at = dict(zip(marks, values))
-    ratios = []
-    for t in taus:
-        tail = partial_product(spec, prefix, t, t + ell)
-        ratios.append(math.exp(at[t + ell] - at[t] - tail.log_norm))
+    values, _, _, _, _ = _reduce(spec, idx[None], marks)
+    at = dict(zip(marks, values[0]))
+    tails = _range_log_norms(spec, idx, taus, [t + ell for t in taus])
+    ratios = [math.exp(at[t + ell] - at[t] - tail) for t, tail in zip(taus, tails)]
     return QuasiMultiplicativityReport(np.array(taus), np.array(ratios), selection.c1)
 
 
@@ -257,10 +256,7 @@ def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord, rtol: float = 1e-12)
     if p < 1:
         raise DomainError("cycle must be nonempty")
     vals = []
-    for t in range(p):
-        reps = -(-(p + spec.depth - 1 + t) // p) + 1
-        ext = np.tile(cycle.symbols, reps)[t : t + p + spec.depth - 1]
-        sp = partial_product(spec, FiniteWord(ext, spec.alphabet), 0, p)
+    for sp in _products(spec, _rotation_rows(spec, cycle.symbols, p, range(p))):
         if sp.is_zero:
             vals.append(_NEG_INF)
             continue

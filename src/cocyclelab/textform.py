@@ -17,6 +17,7 @@ A document is one named top-level block; values round-trip through
 from __future__ import annotations
 
 import ast
+import math
 from typing import Mapping
 
 from .errors import ConfigError
@@ -30,7 +31,21 @@ def _emit(data: Mapping, indent: int, lines: list[str]) -> None:
             _emit(value, indent + 1, lines)
             lines.append(f"{pad}}}")
         else:
+            _check_finite(key, value)
             lines.append(f"{pad}{key} = {value!r}")
+
+
+def _check_finite(key, value) -> None:
+    """inf and nan have no literal form, so loads could not read them back."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: non-finite float {value!r} cannot be written")
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            _check_finite(key, item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            _check_finite(key, item)
 
 
 def dumps(name: str, data: Mapping) -> str:

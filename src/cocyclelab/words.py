@@ -26,6 +26,7 @@ from .errors import (
 )
 
 MAX_ALPHABET = 256
+_SCAN_BYTES = 1 << 20  # budget for the Markov sampler's step maps
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,12 @@ def _as_symbol_array(data) -> np.ndarray:
         if data and not (data.isascii() and data.isdigit()):
             raise DomainError(f"word text {data!r} must consist of the digits 0-9")
         return np.frombuffer(data.encode("ascii"), dtype=np.uint8) - ord("0")
-    arr = np.asarray(data, dtype=np.uint8)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr
+    arr = np.asarray(data).reshape(-1)
+    if arr.dtype != np.uint8 and arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= MAX_ALPHABET:  # would wrap around in the uint8 cast
+            raise DomainError(f"symbol {lo if lo < 0 else hi} outside 0..{MAX_ALPHABET - 1}")
+    return arr.astype(np.uint8, copy=False)
 
 
 class FiniteWord:
@@ -270,19 +273,30 @@ def _bernoulli_symbols(probabilities: np.ndarray, n: int, seed: int, stream: int
 def _markov_symbols(transition: np.ndarray, initial: np.ndarray, n: int, seed: int,
                     stream: int = 0) -> np.ndarray:
     """First n states of a chain path started from `initial`, drawn from the
-    (seed, stream) Philox stream."""
+    (seed, stream) Philox stream.
+
+    Draw t moves the chain by the map "state -> next state" that row-wise
+    `searchsorted` gives for u[t]; the path is the prefix composition of
+    those maps, formed by doubling over chunks of a fixed byte size.
+    """
     u = _generator(seed, stream).random(max(n, 1))
     cum_rows = np.cumsum(transition, axis=1)
-    cum0 = np.cumsum(initial)
+    m1 = len(transition) - 1
     out = np.empty(n, dtype=np.uint8)
     if n == 0:
         return out
-    m1 = len(transition) - 1
-    state = min(int(np.searchsorted(cum0, u[0], side="right")), m1)
-    out[0] = state
-    for t in range(1, n):
-        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), m1)
-        out[t] = state
+    out[0] = min(int(np.searchsorted(np.cumsum(initial), u[0], side="right")), m1)
+    chunk = max(1, _SCAN_BYTES // (8 * len(transition)))
+    for a in range(1, n, chunk):
+        draws = u[a : a + chunk]
+        # maps[t, s]: the state after draw a + t from state s
+        maps = np.stack([np.searchsorted(row, draws, side="right") for row in cum_rows], axis=1)
+        np.minimum(maps, m1, out=maps)
+        k = 1
+        while k < len(maps):  # maps[t] becomes the composition of draws a..a+t
+            maps[k:] = np.take_along_axis(maps[k:], maps[:-k], axis=1)
+            k *= 2
+        out[a : a + len(draws)] = maps[:, out[a - 1]]
     return out
 
 

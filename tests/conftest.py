@@ -61,3 +61,34 @@ def rng():
 def word(text: str, m: int = None) -> FiniteWord:
     size = m if m is not None else max(int(c) for c in text) + 1
     return FiniteWord.from_text(text, Alphabet(size))
+
+
+def naive_markov_symbols(transition, initial, n, seed, stream=0):
+    """Per-symbol chain walk on the same Philox draws, the reference for the
+    prefix-composed Markov sampler."""
+    from cocyclelab.words import _generator
+
+    u = _generator(seed, stream).random(max(n, 1))
+    cum_rows = np.cumsum(transition, axis=1)
+    m1 = len(transition) - 1
+    out = np.empty(n, dtype=np.uint8)
+    if n == 0:
+        return out
+    state = min(int(np.searchsorted(np.cumsum(initial), u[0], side="right")), m1)
+    out[0] = state
+    for t in range(1, n):
+        state = min(int(np.searchsorted(cum_rows[state], u[t], side="right")), m1)
+        out[t] = state
+    return out
+
+
+def naive_first_zero(spec, symbols, n):
+    """First t at which the boolean support product of the first t factors
+    vanishes (None if it never does), one integer matrix product per step."""
+    sup = np.eye(spec.dim, dtype=np.int64)
+    for t in range(n):
+        sup = (sup @ spec.evaluate(FiniteWord(symbols[t : t + spec.depth], spec.alphabet)).support) > 0
+        sup = sup.astype(np.int64)
+        if not sup.any():
+            return t + 1
+    return None

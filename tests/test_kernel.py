@@ -1,0 +1,230 @@
+"""Contracts of the blocked product kernel: exact first zeros wherever they
+fall against the block grid, checkpoints on and off block edges, entry
+ranges that shrink the block to one factor, dense d = 16 tables, batches
+that mix zero and nonzero rows, 60-digit fidelity, and thread safety."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import cocyclelab as cl
+from cocyclelab.errors import UnderflowError_
+from cocyclelab.matrices import ScaledProduct
+
+from conftest import mp_log_entry_sum, naive_first_zero, random_positive
+
+A2, A3 = cl.Alphabet(2), cl.Alphabet(3)
+SHIFT = [[0.0, 1.0], [0.0, 0.0]]  # nilpotent: two in a row give zero
+
+
+def stepwise_log_norms(spec, symbols, checkpoints):
+    """Reference log-norms through the public one-step multiply."""
+    acc = ScaledProduct.empty(spec.dim)
+    out = []
+    for t in range(1, max(checkpoints) + 1):
+        acc = acc.multiply(spec.evaluate(cl.FiniteWord(symbols[t - 1 : t - 1 + spec.depth],
+                                                       spec.alphabet)))
+        if t in checkpoints:
+            out.append(acc.log_norm)
+    return np.array(out)
+
+
+def shift_spec(rng):
+    return cl.CocycleSpec(A3, 1, {"0": random_positive(rng, 2), "1": SHIFT,
+                                  "2": np.zeros((2, 2))})
+
+
+def word_with_zero_at(t, n, letter):
+    """The positive letter everywhere except a zero completed at step t:
+    the nilpotent pair at t-1, t, or the zero letter alone at t."""
+    syms = np.zeros(n, dtype=np.uint8)
+    if letter == "2":
+        syms[t - 1] = 2
+    else:
+        syms[t - 2 : t] = 1
+    return syms
+
+
+@pytest.mark.parametrize("where", ["first", "block_end", "block_start", "mid_block"])
+def test_first_zero_is_exact_against_the_block_grid(rng, where):
+    spec = shift_spec(rng)
+    B = spec._block
+    t, letter = {"first": (1, "2"), "block_end": (B, "1"), "block_start": (B + 1, "1"),
+                 "mid_block": (B + B // 2 + 3, "1")}[where]
+    n = 3 * B + 5
+    syms = word_with_zero_at(t, n, letter)
+    assert naive_first_zero(spec, syms, n) == t
+    source = cl.PeriodicSource(cl.FiniteWord(syms, A3), A3)
+    cps = np.array(sorted({1, max(1, t - 1), t, t + 1, n}))
+    trace = cl.lyapunov_trace(spec, source, cps)
+    assert trace.zero_index == t
+    assert np.all(np.isneginf(trace.values[cps >= t]))
+    live = cps < t
+    if live.any():
+        ref = stepwise_log_norms(spec, syms, cps[live].tolist())
+        np.testing.assert_allclose(trace.values[live], ref, rtol=1e-12)
+    whole = cl.partial_product(spec, cl.FiniteWord(syms, A3), 0, n)
+    assert whole.is_zero and whole.log_norm == -np.inf
+
+
+def test_checkpoints_on_and_off_block_edges(rng):
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 3), "1": random_positive(rng, 3)})
+    B = spec._block
+    n = 5 * B + 7  # not a multiple of B
+    cps = sorted({1, B - 1, B, B + 1, 2 * B, 3 * B - 5, 4 * B + 1, n})
+    source = cl.BernoulliSource([0.5, 0.5], seed=5)
+    syms = source.prefix(n).symbols
+    trace = cl.lyapunov_trace(spec, source, cps)
+    assert trace.zero_index is None
+    np.testing.assert_allclose(trace.values, stepwise_log_norms(spec, syms, cps), rtol=1e-12)
+    # the same products taken one range at a time
+    for c in cps:
+        got = cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, c).log_norm
+        assert got == pytest.approx(trace.values[cps.index(c)], rel=1e-12)
+
+
+def test_entry_range_near_1e300_forces_single_factor_blocks():
+    tiny = 1e-299
+    spec = cl.CocycleSpec(A2, 1, {"0": [[1.0, tiny], [tiny, 1.0]],
+                                  "1": [[1.0, 1.0], [tiny, 1.0]]})
+    assert spec._block == 1
+    syms = cl.BernoulliSource([0.5, 0.5], seed=3).prefix(40).symbols
+    factors = [spec.matrices[s].entries for s in syms]
+    got = cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, 40)
+    oracle = mp_log_entry_sum(factors)
+    assert abs(got.log_norm - oracle) <= 1e-12 * abs(oracle)
+    assert got.support.all()
+
+
+def test_entry_sum_collapse_raises_underflow():
+    # after "0 1" the entry (0, 1) is 1e-400, structurally nonzero but a
+    # float zero; the projection "2" then leaves nothing else
+    spec = cl.CocycleSpec(A3, 1, {"0": [[1.0, 1e-200], [0.0, 1e-200]],
+                                  "1": [[1.0, 0.0], [0.0, 1e-200]],
+                                  "2": [[0.0, 0.0], [0.0, 1.0]]})
+    w = cl.FiniteWord("012", A3)
+    with pytest.raises(UnderflowError_):
+        cl.partial_product(spec, w, 0, 3)
+    with pytest.raises(UnderflowError_):
+        cl.lyapunov_trace(spec, cl.PeriodicSource(w, A3), [1, 2, 3])
+    # a structurally nonzero entry that is a float zero in the unit
+    probe = cl.CocycleSpec(cl.Alphabet(1), 1, {"0": np.diag([1.0, 1e-200])})
+    with pytest.raises(UnderflowError_):
+        cl.partial_product(probe, cl.FiniteWord("00", cl.Alphabet(1)), 0, 2).unit_matrix
+
+
+@pytest.mark.parametrize("second", ["dense", "nilpotent"])
+def test_d16_tables(rng, second):
+    # the nilpotent letter is strictly upper triangular: 16 in a row give zero
+    other = random_positive(rng, 16)
+    if second == "nilpotent":
+        other = np.triu(other, k=1)
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 16), "1": other})
+    n = 700
+    syms = cl.BernoulliSource([0.7, 0.3], seed=8).prefix(n).symbols.copy()
+    if second == "nilpotent":
+        syms[316], syms[317:333] = 0, 1  # the zero lands mid-block, at 333
+    zero = naive_first_zero(spec, syms, n)
+    assert zero == (333 if second == "nilpotent" else None)
+    cps = [1, 63, 64, 65, 300, 332, 333, n]
+    trace = cl.lyapunov_trace(spec, cl.PeriodicSource(cl.FiniteWord(syms, A2), A2), cps)
+    assert trace.zero_index == zero
+    live = [c for c in cps if zero is None or c < zero]
+    np.testing.assert_allclose(trace.values[: len(live)],
+                               stepwise_log_norms(spec, syms, live), rtol=1e-12)
+    assert np.all(np.isneginf(trace.values[len(live):]))
+    head = [spec.matrices[s].entries for s in syms[:40]]
+    got = cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, 40).log_norm
+    assert abs(got - mp_log_entry_sum(head)) <= 1e-12 * abs(got)
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_replica_batch_mixing_zero_and_nonzero_rows(rng, d):
+    # the second letter squares to zero and is rare, so some replicas never
+    # see it twice in a row; at d = 16 the batch also spans several row chunks
+    nil = np.zeros((d, d))
+    nil[: d // 2, d // 2 :] = random_positive(rng, d // 2)
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, d), "1": nil})
+    measure = cl.BernoulliMeasure([0.97, 0.03])
+    n, replicas = 150, 24
+    est = cl.lambda_estimate(spec, measure, n, replicas=replicas, seed=4)
+    zeros = 0
+    for rep in range(replicas):
+        syms = measure.sample_symbols(n, 4, rep)
+        one = cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, n)
+        expect_zero = naive_first_zero(spec, syms, n) is not None
+        zeros += expect_zero
+        assert one.is_zero == expect_zero
+        if expect_zero:
+            assert est.values[rep] == -np.inf
+        else:
+            assert est.values[rep] == pytest.approx(one.log_norm / n, rel=1e-13)
+    assert 0 < zeros < replicas and est.minus_inf_count == zeros
+
+
+def distinct_pairs_word(count):
+    """Digits whose first count adjacent pairs are all distinct, so a
+    depth-2 table over them can give every position its own factor: walk
+    from 0 back to 0 with step 1, then with step 2, and so on (each step
+    is its own difference mod 10)."""
+    syms, step = [0], 1
+    while len(syms) <= count:
+        syms.append((syms[-1] + step) % 10)
+        step += syms[-1] == 0
+    return np.array(syms, dtype=np.uint8)
+
+
+def factor_chain_spec(factors):
+    syms = distinct_pairs_word(len(factors))
+    table = {f"{a}{b}": f for a, b, f in zip(syms[:-1], syms[1:], factors)}
+    spec = cl.CocycleSpec(cl.Alphabet(10), 2, table, default=np.ones_like(factors[0]))
+    return spec, cl.FiniteWord(syms, cl.Alphabet(10))
+
+
+def test_partial_product_matches_60_digit_oracle():
+    # the trials of acceptance criterion 12, through partial_product
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for trial in range(500):
+        d = 2 + trial % 2
+        factors = [rng.uniform(0.1, 2.0, (d, d)) for _ in range(30)]
+        spec, w = factor_chain_spec(factors)
+        got = cl.partial_product(spec, w, 0, 30)
+        oracle = mp_log_entry_sum(factors)
+        worst = max(worst, abs(got.log_norm - oracle) / abs(oracle))
+    assert worst < 1e-9
+    for trial in range(500):
+        chain = [rng.uniform(0.5, 2.0, (3, 3)) * (rng.random((3, 3)) < 0.45) for _ in range(8)]
+        spec, w = factor_chain_spec(chain)
+        got = cl.partial_product(spec, w, 0, 8)
+        assert got.is_zero == (naive_first_zero(spec, w.symbols, 8) is not None)
+        assert not got.is_zero or got.log_norm == -np.inf
+
+
+def test_concurrent_calls_match_serial_runs(rng):
+    # the kernel keeps no state between calls, so threads interleaving
+    # (switching every 10 us, 4 threads on fewer cores) change nothing
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 4), "1": random_positive(rng, 4)})
+    measure = cl.BernoulliMeasure([0.5, 0.5])
+    cps = cl.geometric_checkpoints(8, 5000)
+
+    def trace(seed):
+        return cl.lyapunov_trace(spec, cl.BernoulliSource([0.5, 0.5], seed), cps).values
+
+    def lam(seed):
+        return cl.lambda_estimate(spec, measure, 300, replicas=8, seed=seed).values
+
+    jobs = [(trace, s) for s in range(6)] + [(lam, s) for s in range(6)]
+    serial = [fn(s) for fn, s in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fn, s) for fn, s in jobs for _ in range(3)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(threaded):
+        assert np.array_equal(got, serial[k // 3])

@@ -53,6 +53,16 @@ def test_round_trip_of_literal_values(data):
     assert textform.loads(textform.dumps("doc", data)) == ("doc", data)
 
 
+def test_dumps_rejects_non_finite_floats():
+    for value in (float("inf"), float("-inf"), float("nan"), [1.0, float("inf")],
+                  (0, [float("nan")])):
+        with pytest.raises(ConfigError):
+            textform.dumps("x", {"v": value})
+    with pytest.raises(ConfigError):
+        textform.dumps("x", {"inner": {"v": float("inf")}})
+    assert textform.loads(textform.dumps("x", {"v": [1e308, -0.0]})) == ("x", {"v": [1e308, -0.0]})
+
+
 SOURCES = [
     cl.PeriodicSource("0110", cl.Alphabet(2)),
     cl.SubstitutionSource({0: "01", 1: "10"}, 0, cl.Alphabet(2)),

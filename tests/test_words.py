@@ -9,8 +9,9 @@ from cocyclelab.errors import (
     InvalidProgramError,
     MarkerNotFoundError,
 )
+from cocyclelab.words import _markov_symbols
 
-from conftest import naive_occurrences, word
+from conftest import naive_markov_symbols, naive_occurrences, word
 
 A2 = cl.Alphabet(2)
 
@@ -322,3 +323,26 @@ def test_word_text_rejects_non_digits():
             cl.FiniteWord.from_text(text, a60)
     assert cl.FiniteWord.from_text("12 0 59", a60).symbols.tolist() == [12, 0, 59]
     assert len(cl.FiniteWord("", a60)) == 0
+
+
+def test_integer_symbols_outside_byte_range_are_rejected():
+    a60 = cl.Alphabet(60)
+    for data in (np.array([300, 1]), np.array([-1]), [300, 1], [2, -3]):
+        with pytest.raises(DomainError):
+            cl.FiniteWord(data, a60)
+    with pytest.raises(DomainError):
+        cl.FiniteWord(np.array([-1]), cl.Alphabet(256))
+    assert cl.FiniteWord([59, 0], a60).symbols.tolist() == [59, 0]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_markov_sampler_matches_per_symbol_walk(m):
+    rng = np.random.default_rng(m)
+    P = rng.random((m, m)) * (rng.random((m, m)) < 0.7)
+    P[np.arange(m), rng.integers(0, m, m)] += 0.1  # every row keeps some mass
+    P /= P.sum(axis=1, keepdims=True)
+    initial = np.full(m, 1.0 / m)
+    # 30000 crosses a chunk edge of the step-map scan for m = 5
+    for n in list(range(0, 40)) + [1000, 10_000, 30_000]:
+        got = _markov_symbols(P, initial, n, seed=17, stream=m)
+        assert np.array_equal(got, naive_markov_symbols(P, initial, n, 17, m)), n
