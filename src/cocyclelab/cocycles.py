@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,9 +43,8 @@ class CocycleSpec:
     The table must cover all m^r words; a default matrix may fill the
     unused ones. The minimal structural nonzero entry over the whole table
     (the entry floor) and the maximal entry are recorded once and drive
-    the norm envelope. For the product kernel every factor is also stored
-    at entry sum 1 with its log sum, next to an identity slot that pads
-    short rows; the smallest normalised entry fixes the block size.
+    the norm envelope. The product kernel reads the table through
+    `_factor_table`.
     """
 
     def __init__(self, alphabet: Alphabet, depth: int, table: Mapping, default=None,
@@ -56,15 +55,14 @@ class CocycleSpec:
         self.depth = int(depth)
         m = alphabet.size
         count = m**self.depth
-        given: dict[str, NonNegMatrix] = {}
+        given: dict[tuple[int, ...], NonNegMatrix] = {}
         for key, val in table.items():
-            word = self._normalize_key(key)
-            given[word] = as_matrix(val)
+            given[self._key_symbols(key)] = as_matrix(val)
         self._given = given
         self._default = as_matrix(default) if default is not None else None
         matrices: list[NonNegMatrix | None] = [None] * count
-        for word, mat in given.items():
-            matrices[self._index_of_text(word)] = mat
+        for symbols, mat in given.items():
+            matrices[self.word_index(symbols)] = mat
         missing = [i for i, mat in enumerate(matrices) if mat is None]
         if missing and self._default is None:
             raise DomainError(
@@ -86,31 +84,16 @@ class CocycleSpec:
         self.a_star = self.entry_floor
         self.a_upper = float(max(mat.entries.max() for mat in matrices))
         self.declared_ell0 = declared_ell0
-        stack = np.stack([mat.entries for mat in matrices] + [np.eye(self.dim)])
-        sums = stack.sum(axis=(1, 2))
-        sums[sums == 0.0] = 1.0
-        self._supports = stack > 0
-        self._units = stack / sums[:, None, None]
-        self._log_sums = np.log(sums)
-        self._log_sums[-1] = 0.0  # the identity pad
-        self._units[-1] = np.eye(self.dim)
-        self._pad = count
-        self._block = _block_size(float(self._units[:-1][self._supports[:-1]].min()))
+        self._table = _factor_table(np.stack([mat.entries for mat in matrices]))
 
-    def _normalize_key(self, key) -> str:
-        if isinstance(key, FiniteWord):
-            word = key
-        elif isinstance(key, str):
+    def _key_symbols(self, key) -> tuple[int, ...]:
+        if isinstance(key, str):
             word = FiniteWord.from_text(key, self.alphabet)
         else:
             word = FiniteWord(key, self.alphabet)
         if len(word) != self.depth:
             raise DomainError(f"table key {key!r} does not have depth {self.depth}")
-        return word.to_text()
-
-    def _index_of_text(self, text: str) -> int:
-        word = FiniteWord.from_text(text, self.alphabet)
-        return int(self.word_index(word.symbols))
+        return tuple(word)
 
     def word_index(self, symbols: np.ndarray) -> int:
         idx = 0
@@ -148,7 +131,8 @@ class CocycleSpec:
         d = {
             "alphabet": self.alphabet.size,
             "depth": self.depth,
-            "matrices": {w: mat.entries.tolist() for w, mat in sorted(self._given.items())},
+            "matrices": {FiniteWord(w, self.alphabet).to_text(): mat.entries.tolist()
+                         for w, mat in sorted(self._given.items())},
         }
         if self._default is not None:
             d["default"] = self._default.entries.tolist()
@@ -167,6 +151,34 @@ class CocycleSpec:
         )
 
 
+class _FactorTable(NamedTuple):
+    """Product-kernel state of a (F, d, d) factor stack: every factor at
+    entry sum 1 with its log sum and exact support, an identity slot at
+    index pad = F that pads short rows, and the block size B that the
+    smallest normalised entry fixes."""
+
+    units: np.ndarray
+    log_sums: np.ndarray
+    supports: np.ndarray
+    pad: int
+    block: int
+    dim: int
+
+
+def _factor_table(factors: np.ndarray) -> _FactorTable:
+    F, d = factors.shape[:2]
+    stack = np.concatenate([factors, np.eye(d)[None]])
+    sums = stack.sum(axis=(1, 2))
+    sums[sums == 0.0] = 1.0
+    supports = stack > 0
+    units = stack / sums[:, None, None]
+    log_sums = np.log(sums)
+    log_sums[-1] = 0.0  # the identity pad
+    units[-1] = np.eye(d)
+    return _FactorTable(units, log_sums, supports, F,
+                        _block_size(float(units[:-1][supports[:-1]].min())), d)
+
+
 def _block_size(q: float) -> int:
     """Largest power of two B <= 64 with q^B >= _TINY: a product of at most
     B sum-1 factors keeps every structurally positive entry at or above
@@ -182,20 +194,20 @@ def _ceil_pow2(n):
     return np.left_shift(1, np.ceil(np.log2(np.maximum(n, 1))).astype(np.int64))
 
 
-def _tree(spec: CocycleSpec, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tree(table: _FactorTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Products of the factor blocks idx[..., :] (B a power of two), reduced
     pairwise, as units of entry sum 1 and their log scales. A raw product
     of at most B sum-1 factors has sum <= 1 and every structurally positive
     entry >= q^B, so it needs no renormalisation before the block's end.
     A structurally zero block has unit 0."""
-    P = spec._units[idx]
+    P = table.units[idx]
     while P.shape[-3] > 1:
         P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
     P = P[..., 0, :, :]
     s = P.sum(axis=(-2, -1))
     s[s == 0.0] = 1.0
     P /= s[..., None, None]
-    return P, spec._log_sums[idx].sum(axis=-1) + np.log(s)
+    return P, table.log_sums[idx].sum(axis=-1) + np.log(s)
 
 
 def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
@@ -209,17 +221,17 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
     return np.minimum(np.matmul(carry[:, None], sups), 1.0)
 
 
-def _first_zero(spec: CocycleSpec, sup: np.ndarray, block: np.ndarray, start: int) -> int:
+def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
     """Exact step at which the support sup times the factors of block vanishes."""
     sup = sup > 0
     for t, f in enumerate(block, start=start + 1):
-        sup = bool_matmul(sup, spec._supports[f])
+        sup = bool_matmul(sup, table.supports[f])
         if not sup.any():
             return t
     raise AssertionError("block support vanished but no factor zeroed it")
 
 
-def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()):
+def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = ()):
     """Products of the factor rows (R, n) of table indices, one per row.
 
     Each row is cut into blocks of B factors and at every checkpoint; the
@@ -231,18 +243,18 @@ def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()
     exp(log_scale) * unit the product with its exact support.
     """
     R, n = rows.shape
-    d = spec.dim
-    B = min(spec._block, 1 << max(n - 1, 0).bit_length())
+    d = table.dim
+    B = min(table.block, 1 << max(n - 1, 0).bit_length())
     per_row = B * d * d * 8
     if R > max(1, _GATHER_BYTES // per_row):
         step = max(1, _GATHER_BYTES // per_row)
-        parts = [_reduce(spec, rows[i : i + step], checkpoints) for i in range(0, R, step)]
+        parts = [_reduce(table, rows[i : i + step], checkpoints) for i in range(0, R, step)]
         return tuple(np.concatenate(part) for part in zip(*parts))
     cps = np.asarray(checkpoints, dtype=np.int64)
     bounds = np.append(np.arange(0, n, B), n)
     if len(cps):
         bounds = np.union1d(bounds, cps)
-    padded = np.concatenate([rows, np.full((R, 1), spec._pad)], axis=1)
+    padded = np.concatenate([rows, np.full((R, 1), table.pad)], axis=1)
 
     values = np.full((R, len(cps)), _NEG_INF)
     zero = np.zeros(R, dtype=np.int64)
@@ -261,7 +273,7 @@ def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()
         for w in np.unique(widths):
             sel = np.flatnonzero(widths == w)
             pos = lo[sel, None] + np.arange(w)
-            units[:, sel], logs[:, sel] = _tree(spec, padded[:, np.where(pos < hi[sel, None], pos, n)])
+            units[:, sel], logs[:, sel] = _tree(table, padded[:, np.where(pos < hi[sel, None], pos, n)])
         sups = _support_prefix(sup, (units > 0).astype(float))
         live = sups.any(axis=(-2, -1))  # per row, a run of True then False
         sums = np.empty_like(logs)
@@ -283,7 +295,7 @@ def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()
             raise RangeError("cocycle product overflowed; rescale the table")
         for r in np.flatnonzero(alive & ~live[:, -1]):
             k = int(np.argmin(live[r]))
-            zero[r] = _first_zero(spec, sups[r, k - 1] if k else sup[r], rows[r, lo[k] : hi[k]],
+            zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r], rows[r, lo[k] : hi[k]],
                                   int(lo[k]))
         if len(cps):
             at = np.searchsorted(cps, hi)
@@ -295,55 +307,63 @@ def _reduce(spec: CocycleSpec, rows: np.ndarray, checkpoints: Sequence[int] = ()
     return values, zero, unit, acc, sup
 
 
-def _products(spec: CocycleSpec, rows: np.ndarray) -> list[ScaledProduct]:
-    """The final product of each factor row as a ScaledProduct."""
-    _, _, unit, acc, sup = _reduce(spec, rows)
-    n = rows.shape[1]
-    return [ScaledProduct.from_raw(unit[r], sup[r] > 0, float(acc[r]), n)
-            for r in range(len(rows))]
+def _reduce_groups(table: _FactorTable, count: int, n: int, rows_for, checkpoints=()):
+    """`_reduce` of count factor rows of length n; rows_for(range) builds
+    the rows of one group, sized so the index rows stay within budget."""
+    group = max(1, _GATHER_BYTES // (8 * n))
+    parts = [_reduce(table, rows_for(range(i, min(count, i + group))), checkpoints)
+             for i in range(0, count, group)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _log_norms(spec: CocycleSpec, rows: np.ndarray) -> np.ndarray:
+def _log_norms(table: _FactorTable, rows: np.ndarray) -> np.ndarray:
     """log entry-sum norm of each factor row's product; -inf on a zero."""
-    _, zero, unit, acc, _ = _reduce(spec, rows)
+    _, zero, unit, acc, _ = _reduce(table, rows)
     s = unit.sum(axis=(1, 2))
     s[zero > 0] = 1.0
     return np.where(zero > 0, _NEG_INF, acc + np.log(s))
 
 
-def _range_log_norms(spec: CocycleSpec, idx: np.ndarray, starts, stops) -> np.ndarray:
+def _range_log_norms(table: _FactorTable, idx: np.ndarray, starts, stops) -> np.ndarray:
     """`_log_norms` of the ranges idx[a:b], batched in rows grouped by
     power-of-two padded length."""
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(stops, dtype=np.int64) - starts
-    padded = np.append(idx, spec._pad)
+    padded = np.append(idx, table.pad)
     widths = _ceil_pow2(lengths)
     out = np.empty(len(starts))
     for w in np.unique(widths):
         sel = np.flatnonzero(widths == w)
         cols = np.arange(w)
         pos = np.where(cols < lengths[sel, None], starts[sel, None] + cols, len(idx))
-        out[sel] = _log_norms(spec, padded[pos])
+        out[sel] = _log_norms(table, padded[pos])
     return out
 
 
-def _group_log_norms(spec: CocycleSpec, count: int, n: int, rows_for) -> np.ndarray:
+def _group_log_norms(table: _FactorTable, count: int, n: int, rows_for) -> np.ndarray:
     """`_log_norms` of count factor rows of length n; rows_for(range) builds
     the rows of one group, sized so the index rows stay within budget."""
     out = np.empty(count)
     group = max(1, _GATHER_BYTES // (8 * n))
     for i in range(0, count, group):
         sel = range(i, min(count, i + group))
-        out[i : i + len(sel)] = _log_norms(spec, rows_for(sel))
+        out[i : i + len(sel)] = _log_norms(table, rows_for(sel))
     return out
 
 
-def _rotation_rows(spec: CocycleSpec, cycle: np.ndarray, n: int, rotations) -> np.ndarray:
-    """Table indices of the first n factors of cycle^inf shifted by each
-    of the given rotations, one row per rotation."""
+def _period_indices(spec: CocycleSpec, cycle: np.ndarray) -> np.ndarray:
+    """Table indices of the p factors of one period of cycle^inf."""
     p = len(cycle)
-    one_period = spec.factor_indices(np.tile(cycle, -(-(p + spec.depth - 1) // p)), 0, p)
-    return one_period[(np.asarray(rotations)[:, None] + np.arange(n)) % p]
+    return spec.factor_indices(np.tile(cycle, -(-(p + spec.depth - 1) // p)), 0, p)
+
+
+def _rotation_rows(periods: np.ndarray, n: int, rows) -> np.ndarray:
+    """Table indices of the first n factors of rotated periodic orbits.
+    periods (K, p) holds one period of each orbit; row r is orbit r // p
+    shifted by r % p."""
+    p = periods.shape[1]
+    rows = np.asarray(rows)[:, None]
+    return periods[rows // p, (rows % p + np.arange(n)) % p]
 
 
 def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> ScaledProduct:
@@ -354,7 +374,8 @@ def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> Sc
     if n == m:
         return ScaledProduct.empty(spec.dim)
     idx = spec.factor_indices(prefix.symbols, n, m)
-    return _products(spec, idx[None])[0]
+    _, _, unit, acc, sup = _reduce(spec._table, idx[None])
+    return ScaledProduct.from_raw(unit[0], sup[0] > 0, float(acc[0]), m - n)
 
 
 @dataclass(frozen=True)
@@ -420,7 +441,7 @@ def lyapunov_trace(spec: CocycleSpec, source: WordSource, checkpoints) -> Lyapun
     n_max = int(cps[-1])
     prefix = source.prefix(n_max + spec.depth - 1)
     idx = spec.factor_indices(prefix.symbols, 0, n_max)
-    values, zero, _, _, _ = _reduce(spec, idx[None], cps)
+    values, zero, _, _, _ = _reduce(spec._table, idx[None], cps)
     return LyapunovTrace(cps, values[0], int(zero[0]) or None)
 
 
@@ -478,9 +499,9 @@ def quasi_additivity_defect(spec: CocycleSpec, prefix: FiniteWord,
         )
     marks = sorted({n for n, _ in pairs} | {n + m for n, m in pairs})
     idx = spec.factor_indices(prefix.symbols, 0, need)
-    values, _, _, _, _ = _reduce(spec, idx[None], marks)
+    values, _, _, _, _ = _reduce(spec._table, idx[None], marks)
     at = dict(zip(marks, values[0]))
-    middles = _range_log_norms(spec, idx, [n for n, _ in pairs], [n + m for n, m in pairs])
+    middles = _range_log_norms(spec._table, idx, [n for n, _ in pairs], [n + m for n, m in pairs])
     out = []
     finite = []
     undefined = 0
@@ -522,7 +543,7 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
     r, m = spec.depth, spec.alphabet.size
     d = spec.dim
     arr = sample_prefix.symbols
-    supports = spec._supports.astype(float)
+    supports = spec._table.supports.astype(float)
     chunk = max(1, _GATHER_BYTES // (d * d * 8))
 
     def first_witness(windows: np.ndarray, ell: int) -> PositivityWitness | None:
@@ -720,16 +741,16 @@ def lambda_estimate(spec: CocycleSpec, measure: MeasureModel, n: int,
         raise DomainError("n must be >= 1")
     r = spec.depth
     if isinstance(measure, PeriodicAtomicMeasure):
-        arr = _group_log_norms(
-            spec, measure.period, n,
-            lambda sel: _rotation_rows(spec, measure.cycle.symbols, n, sel)) / n
+        period = _period_indices(spec, measure.cycle.symbols)[None]
+        arr = _group_log_norms(spec._table, measure.period, n,
+                               lambda sel: _rotation_rows(period, n, sel)) / n
         finite = arr[np.isfinite(arr)]
         minus_inf = int(len(arr) - len(finite))
         mean = float(finite.mean()) if len(finite) else _NEG_INF
         return LambdaEstimate(mean, 0.0, arr, n, measure.period, minus_inf)
     if replicas < 1:
         raise DomainError("replicas must be >= 1")
-    vals = _group_log_norms(spec, replicas, n, lambda sel: spec.factor_indices(
+    vals = _group_log_norms(spec._table, replicas, n, lambda sel: spec.factor_indices(
         np.stack([measure.sample_symbols(n + r - 1, seed, rep) for rep in sel]), 0, n)) / n
     finite = vals[np.isfinite(vals)]
     minus_inf = int(len(vals) - len(finite))

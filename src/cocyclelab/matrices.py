@@ -312,38 +312,60 @@ def spectral_radius(B, tol: float = 1e-14, max_squarings: int = 200) -> float:
     successive values differ by less than tol * max(1, estimate); exact
     for d = 1, and a nilpotent support (B^d structurally zero) gives 0.
     """
+    B = as_matrix(B)
+    return float(spectral_radii(B.entries[None], B.support[None], tol, max_squarings)[0])
+
+
+def spectral_radii(entries: np.ndarray, supports: np.ndarray, tol: float = 1e-14,
+                   max_squarings: int = 200) -> np.ndarray:
+    """`spectral_radius` of each matrix of a (K, d, d) stack with its exact
+    support, all squared together. A matrix leaves the stack once its
+    estimate has settled, so a settled matrix never raises; the first
+    still-unsettled matrix whose entry sum collapses raises
+    UnderflowError_, and any left after max_squarings raise
+    BudgetExceededError."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    B = as_matrix(B)
-    if B.dim == 1:
-        return float(B.entries[0, 0])
-    sup = B.support
-    for _ in range((B.dim - 1).bit_length()):  # B^(2^k) with 2^k >= d
+    K, d = entries.shape[:2]
+    if d == 1:
+        return entries[:, 0, 0].astype(float)
+    sup = supports
+    for _ in range((d - 1).bit_length()):  # B^(2^k) with 2^k >= d
         sup = bool_matmul(sup, sup)
-    if not sup.any():
-        return 0.0
-    s = float(B.entries.sum())
-    unit, log_norm, length = B.entries / s, math.log(s), 1
-    prev = None
+    out = np.zeros(K)
+    live = np.flatnonzero(sup.any(axis=(1, 2)))
+    s = entries[live].sum(axis=(1, 2))
+    # rate = log||B^(2^k)|| / 2^k, updated by exact power-of-two scalings
+    unit, rate = entries[live] / s[:, None, None], np.log(s)
+    prev = est = None
     for k in range(1, max_squarings + 1):
-        unit = unit @ unit
-        length *= 2
-        s = float(unit.sum())
-        if s == 0.0:
+        if not len(live):
+            break
+        unit = np.matmul(unit, unit)
+        s = unit.sum(axis=(1, 2))
+        # list membership tests cost less than numpy reductions on a small stack
+        if 0.0 in s.tolist():
             raise UnderflowError_(
                 "entry-sum collapsed to zero on a structurally nonzero product",
-                position=length,
+                position=1 << k,
             )
-        unit = unit / s
-        log_norm = 2.0 * log_norm + math.log(s)
-        est = math.exp(log_norm / length)
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
-            return est
-        prev = est
-    raise BudgetExceededError(
-        f"spectral radius did not settle within {max_squarings} squarings",
-        last_estimates=(prev, est),
-    )
+        unit /= s[:, None, None]
+        rate += np.log(s) * 0.5**k
+        prev, est = est, np.exp(rate)
+        if prev is None:
+            continue
+        done = np.abs(est - prev) <= tol * np.maximum(1.0, est)
+        if True in done.tolist():
+            out[live[done]] = est[done]
+            keep = ~done
+            live, unit, rate, est, prev = (a[keep] for a in (live, unit, rate, est, prev))
+    if len(live):
+        raise BudgetExceededError(
+            f"spectral radius did not settle within {max_squarings} squarings",
+            last_estimates=(None if prev is None else float(prev[0]),
+                            None if est is None else float(est[0])),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ import numpy as np
 
 from .cocycles import (
     CocycleSpec,
-    _products,
+    _FactorTable,
+    _period_indices,
     _range_log_norms,
     _reduce,
+    _reduce_groups,
     _rotation_rows,
     check_positivity_condition,
 )
@@ -27,8 +29,9 @@ from .errors import (
     ConditionUnsatisfiedError,
     DomainError,
     InsufficientContextError,
+    UnderflowError_,
 )
-from .matrices import elem_constant, spectral_radius
+from .matrices import elem_constant, spectral_radii
 from .words import FiniteWord, ReturnDecomposition, decompose_returns, occurrences
 
 _NEG_INF = float("-inf")
@@ -160,7 +163,7 @@ def _block_log_norms(spec: CocycleSpec, prefix: FiniteWord,
              for a, b in zip(taus[:-1].tolist(), taus[1:].tolist())]
     distinct = np.unique(which, return_index=True)[1]
     idx = spec.factor_indices(arr, 0, int(taus[-1]))
-    logs = _range_log_norms(spec, idx, taus[distinct], taus[distinct + 1])
+    logs = _range_log_norms(spec._table, idx, taus[distinct], taus[distinct + 1])
     return logs[np.asarray(which)]
 
 
@@ -240,9 +243,9 @@ def quasi_multiplicativity_check(spec: CocycleSpec, prefix: FiniteWord,
         raise InsufficientContextError("no return time leaves room for the probe", required=ell)
     marks = sorted({t for t in taus} | {t + ell for t in taus})
     idx = spec.factor_indices(prefix.symbols, 0, marks[-1])
-    values, _, _, _, _ = _reduce(spec, idx[None], marks)
+    values, _, _, _, _ = _reduce(spec._table, idx[None], marks)
     at = dict(zip(marks, values[0]))
-    tails = _range_log_norms(spec, idx, taus, [t + ell for t in taus])
+    tails = _range_log_norms(spec._table, idx, taus, [t + ell for t in taus])
     ratios = [math.exp(at[t + ell] - at[t] - tail) for t, tail in zip(taus, tails)]
     return QuasiMultiplicativityReport(np.array(taus), np.array(ratios), selection.c1)
 
@@ -252,27 +255,36 @@ def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord, rtol: float = 1e-12)
     period product over the period. Computed for every rotation of the
     cycle and asserted rotation-invariant; a nilpotent period product
     gives -inf."""
-    p = len(cycle)
-    if p < 1:
+    if len(cycle) < 1:
         raise DomainError("cycle must be nonempty")
-    vals = []
-    for sp in _products(spec, _rotation_rows(spec, cycle.symbols, p, range(p))):
-        if sp.is_zero:
-            vals.append(_NEG_INF)
-            continue
-        rho_unit = spectral_radius(sp.unit_matrix)
-        if rho_unit == 0.0:
-            vals.append(_NEG_INF)
-        else:
-            vals.append((sp.log_norm + math.log(rho_unit)) / p)
-    finite = [v for v in vals if v != _NEG_INF]
-    if finite and len(finite) != len(vals):
-        raise DomainError("rotations disagree on nilpotency; inconsistent table")
-    if not finite:
-        return _NEG_INF
-    spread = max(finite) - min(finite)
-    if spread > rtol * (1.0 + abs(finite[0])):
-        raise DomainError(
-            f"period exponent not rotation-invariant within {rtol}: spread {spread}"
-        )
-    return vals[0]
+    periods = _period_indices(spec, cycle.symbols)[None]
+    return float(_periodic_exponents(spec._table, periods, rtol)[0])
+
+
+def _periodic_exponents(table: _FactorTable, periods: np.ndarray,
+                        rtol: float = 1e-12) -> np.ndarray:
+    """`periodic_exponent` of each orbit whose period of factor indices is
+    a row of periods (K, p): the period products of all K*p rotations go
+    through one kernel batch and their spectral radii through one batched
+    squaring."""
+    K, p = periods.shape
+    _, _, unit, acc, sup = _reduce_groups(table, K * p, p,
+                                          lambda rows: _rotation_rows(periods, p, rows))
+    live = sup.any(axis=(1, 2))
+    s = unit[live].sum(axis=(1, 2))
+    units, sups = unit[live] / s[:, None, None], sup[live] > 0
+    if np.any(units[sups] == 0.0):
+        raise UnderflowError_("structurally nonzero entry underflowed to float zero", position=p)
+    vals = np.full(K * p, _NEG_INF)
+    with np.errstate(divide="ignore"):  # a nilpotent product has rho 0
+        vals[live] = (acc[live] + np.log(s) + np.log(spectral_radii(units, sups))) / p
+    for rotations in vals.reshape(K, p):
+        finite = np.count_nonzero(rotations != _NEG_INF)
+        if finite and finite != p:
+            raise DomainError("rotations disagree on nilpotency; inconsistent table")
+        spread = float(rotations.max() - rotations.min()) if finite else 0.0
+        if spread > rtol * (1.0 + abs(rotations[0])):
+            raise DomainError(
+                f"period exponent not rotation-invariant within {rtol}: spread {spread}"
+            )
+    return vals[::p].copy()

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CocycleSpec, lyapunov_trace
+from .cocycles import CocycleSpec, _factor_table, _reduce_groups
 from .errors import DomainError, RangeError
-from .returns import periodic_exponent
+from .returns import _periodic_exponents
 from .words import Alphabet, PeriodicSource, WordSource
 
 _EXP_LIMIT = 700.0  # exp overflows just above this
+_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,51 @@ class WeightedAverageSpec:
         }
 
 
+def _deformed(spec: WeightedAverageSpec, betas: np.ndarray) -> np.ndarray:
+    """The matrices exp(beta * v_j * f), (len(betas), m, q, q); raises
+    RangeError at the first beta whose exponent could overflow."""
+    peaks = np.abs(betas) * float(np.abs(spec.weight_values).max()) * float(
+        np.abs(spec.potential).max()
+    )
+    over = np.flatnonzero(peaks > _EXP_LIMIT)
+    if len(over):
+        raise RangeError(
+            f"|beta * v * f| reaches {peaks[over[0]]:.1f} > {_EXP_LIMIT}; "
+            "rescale the potential or weights"
+        )
+    return np.exp((betas[:, None] * spec.weight_values)[:, :, None, None] * spec.potential)
+
+
 def beta_cocycle(spec: WeightedAverageSpec, beta: float) -> CocycleSpec:
     """Depth-1 cocycle over the weight alphabet: symbol j maps to the
     strictly positive matrix exp(beta * v_j * f)."""
-    peak = abs(beta) * float(np.abs(spec.weight_values).max()) * float(
-        np.abs(spec.potential).max()
-    )
-    if peak > _EXP_LIMIT:
-        raise RangeError(
-            f"|beta * v * f| reaches {peak:.1f} > {_EXP_LIMIT}; rescale the potential or weights"
-        )
+    mats = _deformed(spec, np.array([beta], dtype=float))[0]
+    return CocycleSpec(Alphabet(len(mats)), 1, {(j,): mat for j, mat in enumerate(mats)})
+
+
+def _psi_values(spec: WeightedAverageSpec, betas, horizon: int) -> np.ndarray:
+    """psi at every beta of the family: the deformed tables of all betas
+    form one factor stack, and member k reads the weight stream offset by
+    k*m into it, so the whole family takes one kernel batch and, on a
+    periodic stream, one batched spectral radius."""
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+    betas = np.asarray(betas, dtype=float)
     m = len(spec.weight_values)
-    table = {
-        (j,): np.exp(beta * spec.weight_values[j] * spec.potential) for j in range(m)
-    }
-    return CocycleSpec(Alphabet(m), 1, table)
+    table = _factor_table(_deformed(spec, betas).reshape(-1, spec.q, spec.q))
+    offsets = m * np.arange(len(betas))[:, None]
+    src = spec.weight_source
+    if isinstance(src, PeriodicSource):
+        return _periodic_exponents(table, src.cycle.symbols + offsets)
+    half = max(1, horizon // 2)
+    cps = [half, horizon] if half < horizon else [horizon]
+    weights = src.prefix(horizon).symbols
+    values, zero, _, _, _ = _reduce_groups(table, len(betas), horizon,
+                                           lambda rows: weights + offsets[rows], cps)
+    # the trace slope across the last two checkpoints cancels the O(1) offset
+    slope = values[:, 0] / horizon if len(cps) == 1 else (
+        (values[:, 1] - values[:, 0]) / (horizon - half))
+    return np.where(zero > 0, _NEG_INF, slope)
 
 
 def psi(spec: WeightedAverageSpec, beta: float, horizon: int) -> float:
@@ -83,15 +114,7 @@ def psi(spec: WeightedAverageSpec, beta: float, horizon: int) -> float:
     streams use the trace slope between horizon/2 and horizon, which
     cancels the O(1) norm constant.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    cocycle = beta_cocycle(spec, beta)
-    src = spec.weight_source
-    if isinstance(src, PeriodicSource):
-        return periodic_exponent(cocycle, src.cycle)
-    half = max(1, horizon // 2)
-    cps = [half, horizon] if half < horizon else [horizon]
-    return lyapunov_trace(cocycle, src, cps).slope_estimate()
+    return float(_psi_values(spec, [beta], horizon)[0])
 
 
 @dataclass(frozen=True)
@@ -109,20 +132,22 @@ def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int,
 
     alpha is the central difference (psi(b+h) - psi(b-h)) / 2h with the
     default step 1e-3 * (1 + |beta|); the dimension at each point is the
-    Legendre value (psi - alpha*beta)/log q.
+    Legendre value (psi - alpha*beta)/log q. The 3 psi values per beta
+    (beta, beta+h, beta-h, in that order) are one family for `_psi_values`.
     """
     grid = np.asarray(betas, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise DomainError("beta grid must be strictly increasing")
+    if h is not None and not (h != 0 and math.isfinite(h)):
+        raise DomainError("derivative step h must be nonzero and finite")
     logq = math.log(spec.q)
-    out = []
-    for beta in grid:
-        step = h if h is not None else 1e-3 * (1.0 + abs(beta))
-        p0 = psi(spec, beta, horizon)
-        alpha = (psi(spec, beta + step, horizon) - psi(spec, beta - step, horizon)) / (2 * step)
-        dim = (p0 - alpha * beta) / logq
-        out.append(SpectrumPoint(float(beta), p0, alpha, dim, dim >= -1e-6))
-    return out
+    steps = np.full(len(grid), float(h)) if h is not None else 1e-3 * (1.0 + np.abs(grid))
+    family = np.stack([grid, grid + steps, grid - steps], axis=1).reshape(-1)
+    p0, up, down = _psi_values(spec, family, horizon).reshape(-1, 3).T
+    alpha = (up - down) / (2 * steps)
+    dim = (p0 - alpha * grid) / logq
+    return [SpectrumPoint(b, p, a, x, x >= -1e-6) for b, p, a, x in
+            zip(grid.tolist(), p0.tolist(), alpha.tolist(), dim.tolist())]
 
 
 def spectrum_to_csv(points: list[SpectrumPoint]) -> str:

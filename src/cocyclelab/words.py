@@ -126,7 +126,10 @@ class FiniteWord:
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "FiniteWord":
-        if " " in text:
+        """Inverse of to_text: over more than 10 symbols, or when the text
+        holds a space, each space-separated token is one symbol; otherwise
+        each digit is one symbol."""
+        if " " in text or alphabet.size > 10:
             tokens = [tok for tok in text.split(" ") if tok]
             if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise DomainError(f"word text {text!r} must be digits separated by spaces")
@@ -635,7 +638,8 @@ def source_from_description(d: Mapping) -> WordSource:
     if kind == "periodic":
         return PeriodicSource(FiniteWord.from_text(str(d["cycle"]), alphabet), alphabet)
     if kind == "substitution":
-        rules = {int(k): str(v) for k, v in d["rules"].items()}
+        rules = {int(k): FiniteWord.from_text(str(v), alphabet).symbols
+                 for k, v in d["rules"].items()}
         return SubstitutionSource(rules, int(d["seed_letter"]), alphabet)
     if kind == "bernoulli":
         return BernoulliSource(d["probabilities"], int(d["seed"]), alphabet)

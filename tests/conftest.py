@@ -1,9 +1,18 @@
 """Shared test oracles: deliberately naive, independent of the library paths."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cocyclelab import Alphabet, FiniteWord
+from cocyclelab import (
+    Alphabet,
+    FiniteWord,
+    PeriodicSource,
+    beta_cocycle,
+    lyapunov_trace,
+    periodic_exponent,
+)
 
 
 def naive_occurrences(prefix: FiniteWord, marker: FiniteWord, start: int = 1):
@@ -92,3 +101,44 @@ def naive_first_zero(spec, symbols, n):
         if not sup.any():
             return t + 1
     return None
+
+
+def naive_spectrum(spec, betas, horizon, h=None):
+    """Per-beta loop of (beta, psi, alpha, dim): three psi values per grid
+    point, each from its own depth-1 cocycle, in the order beta, beta + h,
+    beta - h; the reference for the stacked beta-family."""
+
+    def one_psi(beta):
+        cocycle = beta_cocycle(spec, beta)
+        src = spec.weight_source
+        if isinstance(src, PeriodicSource):
+            return periodic_exponent(cocycle, src.cycle)
+        half = max(1, horizon // 2)
+        cps = [half, horizon] if half < horizon else [horizon]
+        return lyapunov_trace(cocycle, src, cps).slope_estimate()
+
+    out = []
+    for beta in np.asarray(betas, dtype=float).tolist():
+        step = h if h is not None else 1e-3 * (1.0 + abs(beta))
+        p0 = one_psi(beta)
+        alpha = (one_psi(beta + step) - one_psi(beta - step)) / (2 * step)
+        out.append((beta, p0, alpha, (p0 - alpha * beta) / math.log(spec.q)))
+    return out
+
+
+def naive_gelfand(B, tol=1e-14):
+    """Scalar Gelfand loop on one matrix with a nonzero support: the
+    estimate ||B^(2^k)||^(1/2^k) and the squaring k at which it first
+    moves by at most tol * max(1, estimate)."""
+    s = float(B.sum())
+    unit, log_norm, prev = B / s, math.log(s), None
+    for k in range(1, 200):
+        unit = unit @ unit
+        s = float(unit.sum())
+        unit = unit / s
+        log_norm = 2.0 * log_norm + math.log(s)
+        est = math.exp(log_norm / 2**k)
+        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
+            return est, k
+        prev = est
+    raise AssertionError("did not settle")

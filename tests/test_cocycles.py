@@ -62,6 +62,22 @@ def test_table_must_be_total():
 # --- partial products -------------------------------------------------------
 
 
+def test_table_keys_index_by_symbols_over_large_alphabet():
+    a30 = cl.Alphabet(30)
+    mats = {(i,): np.full((2, 2), float(i + 1)) for i in range(30)}
+    for keys in (mats, {cl.FiniteWord(k, a30).to_text(): v for k, v in mats.items()}):
+        spec = cl.CocycleSpec(a30, 1, keys)
+        for i in (0, 1, 12, 29):
+            got = spec.evaluate(cl.FiniteWord([i], a30)).entries
+            np.testing.assert_array_equal(got, mats[(i,)])
+    back = cl.CocycleSpec.from_description(spec.describe())
+    assert all(np.array_equal(a.entries, b.entries) for a, b in zip(back.matrices, spec.matrices))
+    depth2 = cl.CocycleSpec(a30, 2, {(12, 3): np.eye(2)}, default=np.ones((2, 2)))
+    np.testing.assert_array_equal(depth2.evaluate(cl.FiniteWord([12, 3], a30)).entries, np.eye(2))
+    np.testing.assert_array_equal(depth2.evaluate(cl.FiniteWord([1, 2], a30)).entries,
+                                  np.ones((2, 2)))
+
+
 def test_empty_partial_product():
     spec = positive_spec()
     acc = cl.partial_product(spec, word("0101", 2), 2, 2)

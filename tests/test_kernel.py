@@ -50,7 +50,7 @@ def word_with_zero_at(t, n, letter):
 @pytest.mark.parametrize("where", ["first", "block_end", "block_start", "mid_block"])
 def test_first_zero_is_exact_against_the_block_grid(rng, where):
     spec = shift_spec(rng)
-    B = spec._block
+    B = spec._table.block
     t, letter = {"first": (1, "2"), "block_end": (B, "1"), "block_start": (B + 1, "1"),
                  "mid_block": (B + B // 2 + 3, "1")}[where]
     n = 3 * B + 5
@@ -71,7 +71,7 @@ def test_first_zero_is_exact_against_the_block_grid(rng, where):
 
 def test_checkpoints_on_and_off_block_edges(rng):
     spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 3), "1": random_positive(rng, 3)})
-    B = spec._block
+    B = spec._table.block
     n = 5 * B + 7  # not a multiple of B
     cps = sorted({1, B - 1, B, B + 1, 2 * B, 3 * B - 5, 4 * B + 1, n})
     source = cl.BernoulliSource([0.5, 0.5], seed=5)
@@ -89,7 +89,7 @@ def test_entry_range_near_1e300_forces_single_factor_blocks():
     tiny = 1e-299
     spec = cl.CocycleSpec(A2, 1, {"0": [[1.0, tiny], [tiny, 1.0]],
                                   "1": [[1.0, 1.0], [tiny, 1.0]]})
-    assert spec._block == 1
+    assert spec._table.block == 1
     syms = cl.BernoulliSource([0.5, 0.5], seed=3).prefix(40).symbols
     factors = [spec.matrices[s].entries for s in syms]
     got = cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, 40)

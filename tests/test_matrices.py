@@ -10,9 +10,15 @@ from cocyclelab.errors import (
     NotPositiveError,
     UnderflowError_,
 )
-from cocyclelab.matrices import NonNegMatrix, ScaledProduct, bool_matmul
+from cocyclelab.matrices import NonNegMatrix, ScaledProduct, bool_matmul, spectral_radii
 
-from conftest import brute_phi, mp_log_entry_sum, random_positive, random_sparse_nonneg
+from conftest import (
+    brute_phi,
+    mp_log_entry_sum,
+    naive_gelfand,
+    random_positive,
+    random_sparse_nonneg,
+)
 
 
 def test_entry_sum_norm():
@@ -143,6 +149,82 @@ def test_spectral_radius_vs_eigvals(rng):
         expect = max(abs(np.linalg.eigvals(A @ B)))
         assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
         assert cl.spectral_radius(B @ A) == pytest.approx(got, rel=1e-9, abs=1e-12)
+
+
+# 3x3 members for the batched squaring: a nilpotent support, one that
+# settles at the first comparison (||B^n|| = rho^n), one after about 27
+# squarings, a generic one after about 46, and a 3-cycle whose unit
+# squares lose all mass to underflow at B^8 before its estimate settles
+_NILPOTENT = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+_FAST = np.diag([1.0, 0.0, 0.0])
+_MEDIUM = np.array([[1.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_SLOW = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+_COLLAPSE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-170], [1e-170, 0.0, 0.0]]) * 1e150
+
+
+def _radii(*members, **kw):
+    stack = np.stack(members)
+    return spectral_radii(stack, stack > 0, **kw)
+
+
+def test_spectral_radii_mixed_stack_matches_each_member_alone():
+    members = [_SLOW, _NILPOTENT, _FAST, _MEDIUM]
+    got = _radii(*members)
+    for value, member in zip(got, members):
+        assert value == _radii(member)[0] == cl.spectral_radius(member)  # bit-equal
+    assert got[1] == 0.0
+    assert got[2] == 1.0 and got[3] == pytest.approx(1.0, abs=1e-13)
+    assert got[0] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-13)
+
+
+def test_spectral_radii_keep_the_scalar_stopping_rule():
+    # below 1 the tolerance is absolute, above 1 relative: each member must
+    # settle on exactly the squaring the scalar loop settles on
+    rng = np.random.default_rng(3)
+    members = [_FAST, _MEDIUM, _SLOW]
+    for scale in (1e-3, 0.3, 7.0):
+        members += [_MEDIUM * scale, rng.uniform(0.0, 1.0, (3, 3)) * scale]
+    got = _radii(*members)
+    for value, member in zip(got, members):
+        est, k = naive_gelfand(member)
+        assert value == pytest.approx(est, rel=1e-15)
+        assert _radii(member, max_squarings=k)[0] == value
+        with pytest.raises(BudgetExceededError):
+            _radii(member, max_squarings=k - 1)
+
+
+def test_spectral_radii_unsettled_member_exceeds_budget():
+    np.testing.assert_array_equal(_radii(_FAST, _MEDIUM, max_squarings=30),
+                                  _radii(_FAST, _MEDIUM))
+    with pytest.raises(BudgetExceededError) as alone:
+        _radii(_SLOW, max_squarings=30)
+    with pytest.raises(BudgetExceededError) as mixed:
+        _radii(_FAST, _SLOW, _MEDIUM, max_squarings=30)
+    assert mixed.value.last_estimates == alone.value.last_estimates
+    assert alone.value.last_estimates[0] != alone.value.last_estimates[1]
+    # a member that settles on the last allowed squaring leaves before the report
+    with pytest.raises(BudgetExceededError) as alone:
+        _radii(_SLOW, max_squarings=27)
+    with pytest.raises(BudgetExceededError) as mixed:
+        _radii(_MEDIUM, _SLOW, max_squarings=27)
+    assert mixed.value.last_estimates == alone.value.last_estimates
+
+
+def test_spectral_radii_collapsing_member_underflows():
+    with pytest.raises(UnderflowError_) as alone:
+        _radii(_COLLAPSE)
+    assert alone.value.position == 8
+    with pytest.raises(UnderflowError_) as mixed:
+        _radii(_FAST, _SLOW, _COLLAPSE, _NILPOTENT)
+    assert mixed.value.position == 8
+
+
+def test_spectral_radius_rejects_non_positive_tol():
+    for tol in (0.0, -1e-14):
+        with pytest.raises(DomainError):
+            cl.spectral_radius([[1.0, 1.0], [1.0, 0.0]], tol=tol)
+        with pytest.raises(DomainError):
+            _radii(_SLOW, tol=tol)
 
 
 def test_scaled_product_single_factor():

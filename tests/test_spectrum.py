@@ -6,6 +6,8 @@ import pytest
 import cocyclelab as cl
 from cocyclelab.errors import DomainError, RangeError
 
+from conftest import naive_spectrum
+
 
 def binary_indicator_spec(weights=(1.0,), source=None):
     # f(a, b) = 1 when a = 1: the orbit average counts the digit 1
@@ -135,3 +137,71 @@ def test_bad_grids():
         cl.spectrum_curve(spec, [1.0, 1.0], horizon=100)
     with pytest.raises(DomainError):
         cl.psi(spec, 0.0, horizon=0)
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            cl.spectrum_curve(spec, [0.0, 1.0], horizon=100, h=h)
+
+
+def test_spectrum_csv_fields_are_numbers():
+    spec = binary_indicator_spec()
+    points = cl.spectrum_curve(spec, np.linspace(-1, 1, 5), horizon=100)
+    for pt in points:
+        assert all(type(v) is float for v in (pt.beta, pt.psi, pt.alpha, pt.dim))
+        assert type(pt.in_domain) is bool
+    for line in cl.spectrum_to_csv(points).strip().splitlines()[1:]:
+        fields = line.split(",")
+        assert len(fields) == 4
+        for field in fields:
+            float(field)
+
+
+def _mixed_weight_spec(source):
+    rng = np.random.default_rng(5)
+    return cl.WeightedAverageSpec(rng.uniform(-1.0, 1.0, (3, 3)), np.array([0.5, -1.0, 2.0]),
+                                  source)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+def test_spectrum_curve_matches_per_beta_loop(kind):
+    a3 = cl.Alphabet(3)
+    if kind == "periodic":
+        source = cl.PeriodicSource("0120112", a3)
+    else:
+        source = cl.SubstitutionSource({0: "01", 1: "12", 2: "20"}, 0, a3)
+    spec = _mixed_weight_spec(source)
+    betas = np.linspace(-3.0, 3.0, 7)
+    points = cl.spectrum_curve(spec, betas, horizon=777)
+    ref = naive_spectrum(spec, betas, 777)
+    for pt, (beta, p0, alpha, dim) in zip(points, ref):
+        assert pt.beta == beta
+        assert pt.psi == pytest.approx(p0, rel=1e-12)
+        assert pt.alpha == pytest.approx(alpha, rel=1e-9, abs=1e-9)
+        assert pt.dim == pytest.approx(dim, rel=1e-9, abs=1e-9)
+    for beta, p0, _, _ in ref:
+        assert cl.psi(spec, beta, 777) == pytest.approx(p0, rel=1e-12)
+
+
+def test_spectrum_curve_range_error_names_the_first_offending_beta():
+    spec = binary_indicator_spec()  # |beta * v * f| = |beta|
+    # beta itself, then beta + h, then beta - h, grid point by grid point
+    for grid, h, peak in (([0.0, 700.5], 0.1, "700.5"), ([699.6, 699.9], 0.5, "700.1"),
+                          ([-699.8, 0.0], 0.5, "700.3"), ([-699.9, -699.3], 0.5, "700.4")):
+        with pytest.raises(RangeError) as loop:
+            naive_spectrum(spec, grid, 100, h=h)
+        with pytest.raises(RangeError) as stacked:
+            cl.spectrum_curve(spec, grid, 100, h=h)
+        assert str(stacked.value) == str(loop.value)
+        assert f"reaches {peak} >" in str(stacked.value)
+
+
+def test_periodic_exponent_rejects_rotations_that_disagree():
+    rng = np.random.default_rng(11)
+    a2 = cl.Alphabet(2)
+    spec = cl.CocycleSpec(a2, 1, {"0": rng.uniform(0.5, 2.0, (4, 4)),
+                                  "1": rng.uniform(0.5, 2.0, (4, 4))})
+    cycle = cl.FiniteWord("0010111", a2)
+    exact = cl.periodic_exponent(spec, cycle)
+    # the rotations agree only to rounding, so a zero tolerance must refuse them
+    with pytest.raises(DomainError, match="not rotation-invariant"):
+        cl.periodic_exponent(spec, cycle, rtol=0.0)
+    assert math.isfinite(exact)

@@ -325,6 +325,35 @@ def test_word_text_rejects_non_digits():
     assert len(cl.FiniteWord("", a60)) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 256).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), max_size=12))))
+def test_word_text_round_trips_over_every_alphabet(case):
+    m, symbols = case
+    alphabet = cl.Alphabet(m)
+    w = cl.FiniteWord(symbols, alphabet)
+    assert cl.FiniteWord.from_text(w.to_text(), alphabet) == w
+
+
+def test_word_text_meaning_by_alphabet_size():
+    # digit strings keep one symbol per digit up to 10 symbols
+    assert cl.FiniteWord.from_text("0110", cl.Alphabet(10)).symbols.tolist() == [0, 1, 1, 0]
+    assert cl.FiniteWord.from_text("0 1 1", cl.Alphabet(2)).symbols.tolist() == [0, 1, 1]
+    # above 10 symbols a token is one symbol, also without a space
+    a30 = cl.Alphabet(30)
+    assert cl.FiniteWord([12], a30).to_text() == "12"
+    assert cl.FiniteWord.from_text("12", a30).symbols.tolist() == [12]
+    assert cl.FiniteWord.from_text("", a30) == cl.FiniteWord([], a30)
+
+
+def test_substitution_description_round_trips_over_large_alphabet():
+    a12 = cl.Alphabet(12)
+    rules = {s: [s, (s + 11) % 12] if s else [0, 11, 10] for s in range(12)}
+    src = cl.SubstitutionSource(rules, 0, a12)
+    back = cl.source_from_description(src.describe())
+    assert back.prefix(200) == src.prefix(200)
+
+
 def test_integer_symbols_outside_byte_range_are_rejected():
     a60 = cl.Alphabet(60)
     for data in (np.array([300, 1]), np.array([-1]), [300, 1], [2, -3]):
