@@ -23,13 +23,7 @@ from .errors import (
     RangeError,
     UnderflowError_,
 )
-from .matrices import (
-    NonNegMatrix,
-    ScaledProduct,
-    as_matrix,
-    bool_matmul,
-    log_norm_bounds,
-)
+from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds
 from .words import Alphabet, FiniteWord, WordSource, _bernoulli_symbols, _markov_symbols
 
 _NEG_INF = float("-inf")
@@ -81,16 +75,12 @@ class CocycleSpec:
             raise DomainError("cocycle table must contain at least one nonzero entry")
         flat = np.concatenate(nonzero)
         self.entry_floor = float(flat.min())  # the uniform lower bound b
-        self.a_star = self.entry_floor
         self.a_upper = float(max(mat.entries.max() for mat in matrices))
         self.declared_ell0 = declared_ell0
         self._table = _factor_table(np.stack([mat.entries for mat in matrices]))
 
     def _key_symbols(self, key) -> tuple[int, ...]:
-        if isinstance(key, str):
-            word = FiniteWord.from_text(key, self.alphabet)
-        else:
-            word = FiniteWord(key, self.alphabet)
+        word = FiniteWord(key, self.alphabet)
         if len(word) != self.depth:
             raise DomainError(f"table key {key!r} does not have depth {self.depth}")
         return tuple(word)
@@ -153,9 +143,9 @@ class CocycleSpec:
 
 class _FactorTable(NamedTuple):
     """Product-kernel state of a (F, d, d) factor stack: every factor at
-    entry sum 1 with its log sum and exact support, an identity slot at
-    index pad = F that pads short rows, and the block size B that the
-    smallest normalised entry fixes."""
+    entry sum 1 with its log sum and exact support (0/1 floats), an
+    identity slot at index pad = F that pads short rows, and the block
+    size B that the smallest normalised entry fixes."""
 
     units: np.ndarray
     log_sums: np.ndarray
@@ -175,7 +165,7 @@ def _factor_table(factors: np.ndarray) -> _FactorTable:
     log_sums = np.log(sums)
     log_sums[-1] = 0.0  # the identity pad
     units[-1] = np.eye(d)
-    return _FactorTable(units, log_sums, supports, F,
+    return _FactorTable(units, log_sums, supports.astype(float), F,
                         _block_size(float(units[:-1][supports[:-1]].min())), d)
 
 
@@ -223,9 +213,8 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
     """Exact step at which the support sup times the factors of block vanishes."""
-    sup = sup > 0
     for t, f in enumerate(block, start=start + 1):
-        sup = bool_matmul(sup, table.supports[f])
+        sup = np.minimum(np.matmul(sup, table.supports[f]), 1.0)
         if not sup.any():
             return t
     raise AssertionError("block support vanished but no factor zeroed it")
@@ -240,16 +229,12 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     (values, zero, unit, log_scale, support): values[r, i] is the log
     entry-sum norm after checkpoints[i] factors (-inf from the first
     structural zero on), zero[r] that first zero (0 if none), and
-    exp(log_scale) * unit the product with its exact support.
+    exp(log_scale) * unit the product with its exact support. Batches of
+    many rows are sized by `_reduce_groups`.
     """
     R, n = rows.shape
     d = table.dim
-    B = min(table.block, 1 << max(n - 1, 0).bit_length())
-    per_row = B * d * d * 8
-    if R > max(1, _GATHER_BYTES // per_row):
-        step = max(1, _GATHER_BYTES // per_row)
-        parts = [_reduce(table, rows[i : i + step], checkpoints) for i in range(0, R, step)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+    B = _row_block(table, n)
     cps = np.asarray(checkpoints, dtype=np.int64)
     bounds = np.append(np.arange(0, n, B), n)
     if len(cps):
@@ -261,7 +246,7 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     unit = np.tile(np.eye(d), (R, 1, 1))
     sup = unit.copy()  # 0/1 floats: the exact running support
     acc = np.zeros(R)
-    chunk = max(1, _GATHER_BYTES // (R * per_row))
+    chunk = max(1, _GATHER_BYTES // (R * B * d * d * 8))
     for j0 in range(0, len(bounds) - 1, chunk):
         alive = zero == 0
         if not alive.any():
@@ -307,18 +292,29 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     return values, zero, unit, acc, sup
 
 
+def _row_block(table: _FactorTable, n: int) -> int:
+    """Block size `_reduce` uses on rows of n factors."""
+    return min(table.block, 1 << max(n - 1, 0).bit_length())
+
+
 def _reduce_groups(table: _FactorTable, count: int, n: int, rows_for, checkpoints=()):
     """`_reduce` of count factor rows of length n; rows_for(range) builds
-    the rows of one group, sized so the index rows stay within budget."""
-    group = max(1, _GATHER_BYTES // (8 * n))
+    the rows of one group. A group holds as many rows as keep both their
+    indices (8n bytes a row) and the factors one reduction gathers
+    (8Bd^2 bytes a row) within _GATHER_BYTES, and at least one."""
+    per_row = 8 * max(n, _row_block(table, n) * table.dim**2)
+    group = max(1, _GATHER_BYTES // per_row)
+    if count <= group:
+        return _reduce(table, rows_for(range(count)), checkpoints)
     parts = [_reduce(table, rows_for(range(i, min(count, i + group))), checkpoints)
              for i in range(0, count, group)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _log_norms(table: _FactorTable, rows: np.ndarray) -> np.ndarray:
-    """log entry-sum norm of each factor row's product; -inf on a zero."""
-    _, zero, unit, acc, _ = _reduce(table, rows)
+def _log_norms(reduced) -> np.ndarray:
+    """log entry-sum norm of each row's product from a `_reduce` result;
+    -inf on a zero."""
+    _, zero, unit, acc, _ = reduced
     s = unit.sum(axis=(1, 2))
     s[zero > 0] = 1.0
     return np.where(zero > 0, _NEG_INF, acc + np.log(s))
@@ -334,20 +330,9 @@ def _range_log_norms(table: _FactorTable, idx: np.ndarray, starts, stops) -> np.
     out = np.empty(len(starts))
     for w in np.unique(widths):
         sel = np.flatnonzero(widths == w)
-        cols = np.arange(w)
-        pos = np.where(cols < lengths[sel, None], starts[sel, None] + cols, len(idx))
-        out[sel] = _log_norms(table, padded[pos])
-    return out
-
-
-def _group_log_norms(table: _FactorTable, count: int, n: int, rows_for) -> np.ndarray:
-    """`_log_norms` of count factor rows of length n; rows_for(range) builds
-    the rows of one group, sized so the index rows stay within budget."""
-    out = np.empty(count)
-    group = max(1, _GATHER_BYTES // (8 * n))
-    for i in range(0, count, group):
-        sel = range(i, min(count, i + group))
-        out[i : i + len(sel)] = _log_norms(table, rows_for(sel))
+        cols, lens, offs = np.arange(w), lengths[sel, None], starts[sel, None]
+        out[sel] = _log_norms(_reduce_groups(table, len(sel), int(w), lambda g: padded[
+            np.where(cols < lens[g], offs[g] + cols, len(idx))]))
     return out
 
 
@@ -447,7 +432,7 @@ def lyapunov_trace(spec: CocycleSpec, source: WordSource, checkpoints) -> Lyapun
 
 def trace_envelope(spec: CocycleSpec, n: int) -> tuple[float, float]:
     """Norm envelope for any nonzero n-fold product from this table."""
-    return log_norm_bounds(n, spec.a_star, spec.a_upper, spec.dim)
+    return log_norm_bounds(n, spec.entry_floor, spec.a_upper, spec.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +482,27 @@ def quasi_additivity_defect(spec: CocycleSpec, prefix: FiniteWord,
             f"prefix of length {len(prefix)} too short for pairs up to {need}",
             required=need + spec.depth - 1,
         )
-    marks = sorted({n for n, _ in pairs} | {n + m for n, m in pairs})
-    idx = spec.factor_indices(prefix.symbols, 0, need)
-    values, _, _, _, _ = _reduce(spec._table, idx[None], marks)
-    at = dict(zip(marks, values[0]))
-    middles = _range_log_norms(spec._table, idx, [n for n, _ in pairs], [n + m for n, m in pairs])
-    out = []
-    finite = []
-    undefined = 0
-    for (n, m), middle in zip(pairs, middles):
-        pieces = (at[n + m], at[n], middle)
-        if any(v == _NEG_INF for v in pieces):
-            out.append(DefectPair(n, m, None))
-            undefined += 1
-            continue
-        defect = abs(pieces[0] - pieces[1] - pieces[2])
-        out.append(DefectPair(n, m, defect))
-        finite.append(defect)
-    return DefectReport(out, max(finite) if finite else None, undefined)
+    gaps = _split_gaps(spec._table, spec.factor_indices(prefix.symbols, 0, need),
+                       [n for n, _ in pairs], [n + m for n, m in pairs])
+    out = [DefectPair(n, m, None if math.isnan(g) else abs(g))
+           for (n, m), g in zip(pairs, gaps.tolist())]
+    finite = [p.defect for p in out if p.defect is not None]
+    return DefectReport(out, max(finite) if finite else None, len(out) - len(finite))
+
+
+def _split_gaps(table: _FactorTable, idx: np.ndarray, starts, stops) -> np.ndarray:
+    """log||A^(b)|| - log||A^(a)|| - log||A^(a,b)|| for each split a < b,
+    where A^(k) is the product of the first k factors of the row idx and
+    A^(a,b) that of idx[a:b]; nan where one of the three is structurally
+    zero, so the split is undefined."""
+    starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+    marks = np.union1d(starts, stops)
+    values = _reduce(table, idx[None, : marks[-1]], marks)[0][0]
+    pieces = np.stack([values[np.searchsorted(marks, stops)],
+                       values[np.searchsorted(marks, starts)],
+                       _range_log_norms(table, idx, starts, stops)])
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        return np.where(np.isfinite(pieces).all(axis=0), pieces[0] - pieces[1] - pieces[2], np.nan)
 
 
 @dataclass(frozen=True)
@@ -540,10 +528,9 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
     """
     if max_ell < 1:
         raise DomainError("max_ell must be >= 1")
-    r, m = spec.depth, spec.alphabet.size
-    d = spec.dim
+    r, m, d = spec.depth, spec.alphabet.size, spec.dim
     arr = sample_prefix.symbols
-    supports = spec._table.supports.astype(float)
+    supports = spec._table.supports
     chunk = max(1, _GATHER_BYTES // (d * d * 8))
 
     def first_witness(windows: np.ndarray, ell: int) -> PositivityWitness | None:
@@ -560,33 +547,29 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
             P = P @ spec.matrices[f].entries
         b = float(P.min())
         if b <= 0.0:
-            raise UnderflowError_(
-                "positive support product underflowed to float zero", position=ell
-            )
+            raise UnderflowError_("positive support product underflowed to float zero",
+                                  position=ell)
         return PositivityWitness(FiniteWord(windows[hits[0]], spec.alphabet), ell, b,
                                  NonNegMatrix(P))
 
     for ell in range(1, max_ell + 1):
         wlen = ell + r - 1
         if exhaustive:
-            # all m^wlen words in lexicographic order, one chunk at a time
+            # all m^wlen words in lexicographic order, decoded chunk by chunk
             place = m ** np.arange(wlen - 1, -1, -1, dtype=np.int64)
-            for c0 in range(0, m**wlen, chunk):
-                codes = np.arange(c0, min(m**wlen, c0 + chunk), dtype=np.int64)
-                hit = first_witness((codes[:, None] // place % m).astype(np.uint8), ell)
-                if hit is not None:
-                    return hit
-            continue
-        if len(arr) - start < wlen:
-            break
-        windows = sliding_window_view(arr[start:], wlen)
-        flat = np.ascontiguousarray(windows).view(
-            np.dtype((np.void, wlen))
-        ).reshape(-1)
-        _, first = np.unique(flat, return_index=True)
-        distinct = windows[np.sort(first)]
-        for c0 in range(0, len(distinct), chunk):
-            hit = first_witness(distinct[c0 : c0 + chunk], ell)
+            count = m**wlen
+            take = lambda c0, c1: (
+                np.arange(c0, c1, dtype=np.int64)[:, None] // place % m).astype(np.uint8)
+        else:
+            if len(arr) - start < wlen:
+                break
+            windows = sliding_window_view(arr[start:], wlen)
+            flat = np.ascontiguousarray(windows).view(np.dtype((np.void, wlen))).reshape(-1)
+            distinct = windows[np.sort(np.unique(flat, return_index=True)[1])]
+            count = len(distinct)
+            take = lambda c0, c1: distinct[c0:c1]
+        for c0 in range(0, count, chunk):
+            hit = first_witness(take(c0, min(count, c0 + chunk)), ell)
             if hit is not None:
                 return hit
     return None
@@ -694,17 +677,12 @@ class PeriodicAtomicMeasure(MeasureModel):
         return len(self.cycle)
 
     def rotation_prefix(self, t: int, n: int) -> np.ndarray:
-        p = self.period
-        reps = -(-(n + t) // p) + 1
-        return np.tile(self.cycle.symbols, reps)[t : t + n]
+        return self.cycle.symbols[(t + np.arange(n)) % self.period]
 
     def cylinder_mass(self, word: FiniteWord) -> float:
         p = self.period
-        hits = 0
-        for t in range(p):
-            if np.array_equal(self.rotation_prefix(t, len(word)), word.symbols):
-                hits += 1
-        return hits / p
+        rows = _rotation_rows(self.cycle.symbols[None], len(word), np.arange(p))
+        return int(np.count_nonzero((rows == word.symbols).all(axis=1))) / p
 
 
 @dataclass(frozen=True)
@@ -739,26 +717,21 @@ def lambda_estimate(spec: CocycleSpec, measure: MeasureModel, n: int,
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    r = spec.depth
-    if isinstance(measure, PeriodicAtomicMeasure):
-        period = _period_indices(spec, measure.cycle.symbols)[None]
-        arr = _group_log_norms(spec._table, measure.period, n,
-                               lambda sel: _rotation_rows(period, n, sel)) / n
-        finite = arr[np.isfinite(arr)]
-        minus_inf = int(len(arr) - len(finite))
-        mean = float(finite.mean()) if len(finite) else _NEG_INF
-        return LambdaEstimate(mean, 0.0, arr, n, measure.period, minus_inf)
-    if replicas < 1:
+    periodic = isinstance(measure, PeriodicAtomicMeasure)
+    if periodic:
+        period, replicas = _period_indices(spec, measure.cycle.symbols)[None], measure.period
+        rows_for = lambda sel: _rotation_rows(period, n, sel)
+    elif replicas < 1:
         raise DomainError("replicas must be >= 1")
-    vals = _group_log_norms(spec._table, replicas, n, lambda sel: spec.factor_indices(
-        np.stack([measure.sample_symbols(n + r - 1, seed, rep) for rep in sel]), 0, n)) / n
+    else:
+        rows_for = lambda sel: spec.factor_indices(np.stack(
+            [measure.sample_symbols(n + spec.depth - 1, seed, rep) for rep in sel]), 0, n)
+    vals = _log_norms(_reduce_groups(spec._table, replicas, n, rows_for)) / n
     finite = vals[np.isfinite(vals)]
-    minus_inf = int(len(vals) - len(finite))
-    if len(finite) == 0:
-        return LambdaEstimate(_NEG_INF, float("nan"), vals, n, replicas, minus_inf)
-    mean = float(finite.mean())
+    mean = float(finite.mean()) if len(finite) else _NEG_INF
     stderr = float(finite.std(ddof=1) / math.sqrt(len(finite))) if len(finite) > 1 else float("nan")
-    return LambdaEstimate(mean, stderr, vals, n, replicas, minus_inf)
+    return LambdaEstimate(mean, 0.0 if periodic else stderr, vals, n, replicas,
+                          int(len(vals) - len(finite)))
 
 
 def frequency_deviations(prefix: FiniteWord, measure: MeasureModel,

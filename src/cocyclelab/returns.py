@@ -20,9 +20,9 @@ from .cocycles import (
     _FactorTable,
     _period_indices,
     _range_log_norms,
-    _reduce,
     _reduce_groups,
     _rotation_rows,
+    _split_gaps,
     check_positivity_condition,
 )
 from .errors import (
@@ -70,29 +70,23 @@ class MarkerSelection:
         }
 
 
-def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int, max_ell: int,
-                  occurrence_index: int = 0, start: int = 0) -> MarkerSelection:
-    """Find the positivity window and cut the marker out of the orbit.
+def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int,
+                  max_ell: int) -> MarkerSelection:
+    """Find the positivity window and cut the marker out of the orbit at
+    the first occurrence of u, which the witness search saw in the prefix.
 
     k0 below |u| is clamped up to |u| so the marker always determines the
-    u-cylinder. occurrence_index selects which occurrence of u seeds z
-    (default: the first).
+    u-cylinder.
     """
     if k0 < 1:
         raise DomainError("k0 must be >= 1")
-    witness = check_positivity_condition(spec, prefix, max_ell, start=start)
+    witness = check_positivity_condition(spec, prefix, max_ell)
     if witness is None:
         raise ConditionUnsatisfiedError(
             f"no positivity witness among observed windows up to ell={max_ell}"
         )
     u, ell0, b = witness.u, witness.ell0, witness.b
-    occ = occurrences(prefix, u, start=0)
-    if len(occ) <= occurrence_index:
-        raise InsufficientContextError(
-            f"only {len(occ)} occurrences of u observed; wanted index {occurrence_index}",
-            required=occurrence_index + 1,
-        )
-    p = int(occ[occurrence_index])
+    p = int(occurrences(prefix, u, start=0)[0])
     k0_eff = max(k0, len(u))
     if p + k0_eff > len(prefix):
         raise InsufficientContextError(
@@ -217,11 +211,17 @@ def return_formula_estimate(spec: CocycleSpec, prefix: FiniteWord,
 @dataclass(frozen=True)
 class QuasiMultiplicativityReport:
     """Per-return-time ratios ||A^(tau_j + ell)|| / (||A^(tau_j)|| *
-    ||A^(tau_j, tau_j + ell)||), pinned to [c1, 1] at positivity markers."""
+    ||A^(tau_j, tau_j + ell)||), pinned to [c1, 1] at positivity markers.
+
+    Return times where one of the three products is structurally zero
+    have no ratio: they are left out of taus and ratios and counted in
+    undefined.
+    """
 
     taus: np.ndarray
     ratios: np.ndarray
     c1: float
+    undefined: int
 
     @property
     def min_ratio(self) -> float:
@@ -241,13 +241,14 @@ def quasi_multiplicativity_check(spec: CocycleSpec, prefix: FiniteWord,
     taus = [int(t) for t in decomp.return_times if t + ell + r - 1 <= len(prefix)]
     if not taus:
         raise InsufficientContextError("no return time leaves room for the probe", required=ell)
-    marks = sorted({t for t in taus} | {t + ell for t in taus})
-    idx = spec.factor_indices(prefix.symbols, 0, marks[-1])
-    values, _, _, _, _ = _reduce(spec._table, idx[None], marks)
-    at = dict(zip(marks, values[0]))
-    tails = _range_log_norms(spec._table, idx, taus, [t + ell for t in taus])
-    ratios = [math.exp(at[t + ell] - at[t] - tail) for t, tail in zip(taus, tails)]
-    return QuasiMultiplicativityReport(np.array(taus), np.array(ratios), selection.c1)
+    gaps = _split_gaps(spec._table, spec.factor_indices(prefix.symbols, 0, taus[-1] + ell),
+                       taus, [t + ell for t in taus])
+    defined = ~np.isnan(gaps)
+    if not defined.any():
+        raise InsufficientContextError("every probe meets a structurally zero product",
+                                       required=ell)
+    return QuasiMultiplicativityReport(np.array(taus)[defined], np.exp(gaps[defined]),
+                                       selection.c1, int(len(gaps) - defined.sum()))
 
 
 def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord, rtol: float = 1e-12) -> float:
@@ -271,13 +272,12 @@ def _periodic_exponents(table: _FactorTable, periods: np.ndarray,
     _, _, unit, acc, sup = _reduce_groups(table, K * p, p,
                                           lambda rows: _rotation_rows(periods, p, rows))
     live = sup.any(axis=(1, 2))
-    s = unit[live].sum(axis=(1, 2))
-    units, sups = unit[live] / s[:, None, None], sup[live] > 0
-    if np.any(units[sups] == 0.0):
+    units, sups = unit[live], sup[live]
+    if np.any(units[sups > 0] == 0.0):
         raise UnderflowError_("structurally nonzero entry underflowed to float zero", position=p)
     vals = np.full(K * p, _NEG_INF)
     with np.errstate(divide="ignore"):  # a nilpotent product has rho 0
-        vals[live] = (acc[live] + np.log(s) + np.log(spectral_radii(units, sups))) / p
+        vals[live] = (acc[live] + np.log(spectral_radii(units, sups))) / p
     for rotations in vals.reshape(K, p):
         finite = np.count_nonzero(rotations != _NEG_INF)
         if finite and finite != p:

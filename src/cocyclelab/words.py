@@ -48,13 +48,20 @@ class Alphabet:
         return FiniteWord(data, self)
 
 
-def _as_symbol_array(data) -> np.ndarray:
+def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
     if isinstance(data, FiniteWord):
         return data.symbols
     if isinstance(data, str):
-        if data and not (data.isascii() and data.isdigit()):
-            raise DomainError(f"word text {data!r} must consist of the digits 0-9")
-        return np.frombuffer(data.encode("ascii"), dtype=np.uint8) - ord("0")
+        # over more than 10 symbols, or when the text holds a space, each
+        # space-separated token is one symbol; otherwise each digit is one
+        if " " not in data and alphabet.size <= 10:
+            if data and not (data.isascii() and data.isdigit()):
+                raise DomainError(f"word text {data!r} must consist of the digits 0-9")
+            return np.frombuffer(data.encode("ascii"), dtype=np.uint8) - ord("0")
+        tokens = [tok for tok in data.split(" ") if tok]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise DomainError(f"word text {data!r} must be digits separated by spaces")
+        data = [int(tok) for tok in tokens]
     arr = np.asarray(data).reshape(-1)
     if arr.dtype != np.uint8 and arr.size:
         lo, hi = arr.min(), arr.max()
@@ -66,14 +73,14 @@ def _as_symbol_array(data) -> np.ndarray:
 class FiniteWord:
     """Immutable finite word; supports slicing, equality and concatenation.
 
-    Words can be built from digit strings ("0110"), integer sequences, or
+    Words can be built from text (see `from_text`), integer sequences, or
     numpy arrays. The backing array is read-only uint8.
     """
 
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, data, alphabet: Alphabet):
-        arr = _as_symbol_array(data)
+        arr = _as_symbol_array(data, alphabet)
         alphabet.validate(arr)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
@@ -128,15 +135,9 @@ class FiniteWord:
     def from_text(cls, text: str, alphabet: Alphabet) -> "FiniteWord":
         """Inverse of to_text: over more than 10 symbols, or when the text
         holds a space, each space-separated token is one symbol; otherwise
-        each digit is one symbol."""
-        if " " in text or alphabet.size > 10:
-            tokens = [tok for tok in text.split(" ") if tok]
-            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-                raise DomainError(f"word text {text!r} must be digits separated by spaces")
-            data = [int(tok) for tok in tokens]
-        else:
-            data = text
-        return cls(data, alphabet)
+        each digit is one symbol. FiniteWord(text, alphabet) reads text the
+        same way."""
+        return cls(str(text), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,7 @@ class SubstitutionSource(WordSource):
         for sym in range(alphabet.size):
             if sym not in rules:
                 raise DomainError(f"substitution rule missing for symbol {sym}")
-            image = _as_symbol_array(rules[sym])
-            alphabet.validate(image)
+            image = FiniteWord(rules[sym], alphabet).symbols
             if len(image) == 0:
                 raise InvalidProgramError(f"substitution image of {sym} is empty")
             self.rules[sym] = image

@@ -228,6 +228,13 @@ def test_defect_zero_product_reported_undefined():
     assert report.max_defect is None
 
 
+def test_defect_values_are_python_floats():
+    prefix = cl.BernoulliSource([0.5, 0.5], seed=4).prefix(200)
+    report = cl.quasi_additivity_defect(positive_spec(), prefix, [(1, 2), (3, 5), (8, 8)])
+    assert all(type(pair.defect) is float for pair in report.pairs)
+    assert type(report.max_defect) is float
+
+
 def test_rank_one_family_defect_is_log_two():
     # entries f(w) * ones: norms are exactly multiplicative up to one
     # factor of 2, whatever f does

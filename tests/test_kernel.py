@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cocyclelab as cl
+from cocyclelab import cocycles
 from cocyclelab.errors import UnderflowError_
 from cocyclelab.matrices import ScaledProduct
 
@@ -228,3 +229,34 @@ def test_concurrent_calls_match_serial_runs(rng):
         sys.setswitchinterval(interval)
     for k, got in enumerate(threaded):
         assert np.array_equal(got, serial[k // 3])
+
+
+@pytest.mark.parametrize("d, n, replicas", [(16, 300, 20), (2, 200_000, 3)])
+def test_row_groups_keep_indices_and_gathers_within_budget(rng, monkeypatch, d, n, replicas):
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, d), "1": random_positive(rng, d)})
+    idx = spec.factor_indices(cl.BernoulliSource([0.5, 0.5], seed=d).prefix(n).symbols, 0, n)
+    top = min(1024, n // 2)
+    starts = rng.integers(0, n - top, 400)
+    stops = starts + rng.integers(1, top + 1, 400)
+
+    def run():
+        lam = cl.lambda_estimate(spec, cl.BernoulliMeasure([0.5, 0.5]), n, replicas, seed=1)
+        return lam.values, cocycles._range_log_norms(spec._table, idx, starts, stops)
+
+    budget = cocycles._GATHER_BYTES
+    shapes = []
+    inner = cocycles._reduce
+    with monkeypatch.context() as m:
+        m.setattr(cocycles, "_reduce", lambda table, rows, *rest: (
+            shapes.append(rows.shape), inner(table, rows, *rest))[1])
+        grouped = run()
+    assert max(R for R, _ in shapes) > 1 and len(shapes) > 1 + replicas
+    for R, width in shapes:
+        B = min(spec._table.block, 1 << (width - 1).bit_length())
+        # one row is reduced alone even when its indices alone pass the budget
+        assert R == 1 or (R * width * 8 <= budget and R * B * d * d * 8 <= budget)
+    with monkeypatch.context() as m:
+        m.setattr(cocycles, "_GATHER_BYTES", 1 << 40)  # every batch in one piece
+        whole = run()
+    for got, ref in zip(grouped, whole):
+        np.testing.assert_allclose(got, ref, rtol=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab.errors import ConditionUnsatisfiedError, DomainError
+from cocyclelab.errors import ConditionUnsatisfiedError, DomainError, InsufficientContextError
 
 from conftest import word
 
@@ -185,3 +185,35 @@ def test_periodic_exponent_rotation_invariant():
 def test_periodic_exponent_nilpotent():
     spec = cl.CocycleSpec(A1, 1, {"0": [[0.0, 1.0], [0.0, 0.0]]})
     assert cl.periodic_exponent(spec, word("0", 1)) == -np.inf
+
+
+def zero_at(position):
+    """Positive letters 0 and 1, a zero letter 2, and a fair-coin prefix
+    of 400 symbols with a 2 at the given position."""
+    a3 = cl.Alphabet(3)
+    spec = cl.CocycleSpec(a3, 1, {"0": POSITIVE_PAIR["0"], "1": POSITIVE_PAIR["1"],
+                                  "2": [[0.0, 0.0], [0.0, 0.0]]})
+    symbols = cl.BernoulliSource([0.5, 0.5], seed=5).prefix(400).symbols.copy()
+    symbols[position] = 2
+    return spec, cl.FiniteWord(symbols, a3)
+
+
+def test_quasi_multiplicativity_leaves_out_zero_products():
+    spec, prefix = zero_at(300)
+    sel = cl.select_marker(spec, prefix, k0=4, max_ell=2)
+    report = cl.quasi_multiplicativity_check(spec, prefix, sel, ell=4)
+    every = cl.decompose_returns(prefix, sel.v).return_times
+    # a probe [tau, tau + 4) that reaches position 300 meets the zero letter
+    assert report.undefined == np.count_nonzero((every + 4 > 300) & (every + 4 <= 400))
+    assert report.undefined > 0 and len(report.taus) == len(report.ratios) > 0
+    assert np.all(report.taus + 4 <= 300)
+    assert np.all(np.isfinite(report.ratios))
+    assert sel.c1 - 1e-9 <= report.min_ratio <= report.max_ratio <= 1.0 + 1e-9
+
+
+def test_quasi_multiplicativity_every_probe_zero_raises():
+    spec, prefix = zero_at(4)  # just past the marker at position 0
+    sel = cl.select_marker(spec, prefix, k0=4, max_ell=2)
+    assert sel.z_position == 0
+    with pytest.raises(InsufficientContextError):
+        cl.quasi_multiplicativity_check(spec, prefix, sel, ell=4)

@@ -315,13 +315,15 @@ def test_alphabet_validation():
 
 def test_word_text_rejects_non_digits():
     a60 = cl.Alphabet(60)
-    for text in ("a", "0a1", "0 1", "\u0661", "1\t2"):
+    for text in ("a", "0a1", "0 a", "\u0661", "1\t2"):
         with pytest.raises(DomainError):
             cl.FiniteWord(text, a60)
     for text in ("1 a", "3 -1", "1 +2", "0 1\n2"):
         with pytest.raises(DomainError):
             cl.FiniteWord.from_text(text, a60)
     assert cl.FiniteWord.from_text("12 0 59", a60).symbols.tolist() == [12, 0, 59]
+    # a space separates symbols, as in from_text
+    assert cl.FiniteWord("0 1", a60).symbols.tolist() == [0, 1]
     assert len(cl.FiniteWord("", a60)) == 0
 
 
@@ -344,6 +346,22 @@ def test_word_text_meaning_by_alphabet_size():
     assert cl.FiniteWord([12], a30).to_text() == "12"
     assert cl.FiniteWord.from_text("12", a30).symbols.tolist() == [12]
     assert cl.FiniteWord.from_text("", a30) == cl.FiniteWord([], a30)
+
+
+def test_str_words_read_like_from_text_over_large_alphabets():
+    a30 = cl.Alphabet(30)
+    assert cl.FiniteWord("12", a30) == cl.FiniteWord.from_text("12", a30)
+    assert cl.PeriodicSource("12", a30).cycle.symbols.tolist() == [12]
+    assert cl.PeriodicSource("12 3", a30).prefix(4).symbols.tolist() == [12, 3, 12, 3]
+    rules = {s: str(s) for s in range(30)}
+    rules[0] = "0 12"
+    assert cl.SubstitutionSource(rules, 0, a30).prefix(3).symbols.tolist() == [0, 12, 12]
+    spec = cl.CocycleSpec(a30, 1, {"12": [[2.0]]}, default=[[1.0]])
+    assert spec.evaluate(cl.FiniteWord("12", a30)).entries.tolist() == [[2.0]]
+    assert spec.evaluate(cl.FiniteWord("1", a30)).entries.tolist() == [[1.0]]
+    # up to 10 symbols a digit string keeps one symbol per digit
+    assert cl.PeriodicSource("0110", A2).cycle.symbols.tolist() == [0, 1, 1, 0]
+    assert cl.FiniteWord("907", cl.Alphabet(10)).symbols.tolist() == [9, 0, 7]
 
 
 def test_substitution_description_round_trips_over_large_alphabet():
