@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
     UnderflowError_,
 )
-from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds
+from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds, reachability
 from .words import Alphabet, FiniteWord, WordSource, _bernoulli_symbols, _markov_symbols
 
 _NEG_INF = float("-inf")
@@ -640,9 +640,7 @@ def _stationary_vector(P: np.ndarray) -> np.ndarray:
     """The unique stationary vector of a chain with exactly one closed
     communicating class, decided from the transition support alone."""
     m = len(P)
-    reach = (P > 0) | np.eye(m, dtype=bool)
-    for _ in range(m.bit_length()):  # paths of every length up to 2^k >= m
-        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    reach = reachability(P > 0)
     # i lies in a closed class iff every state it reaches reaches it back
     closed = np.all(reach <= reach.T, axis=1)
     if len({reach[i].tobytes() for i in np.flatnonzero(closed)}) != 1:

@@ -61,13 +61,5 @@ class ConditionUnsatisfiedError(CocycleLabError):
     """No positivity witness was found within the search horizon."""
 
 
-class BudgetExceededError(CocycleLabError):
-    """An iteration failed to meet its tolerance within the budget."""
-
-    def __init__(self, message, last_estimates=None):
-        super().__init__(message)
-        self.last_estimates = last_estimates
-
-
 class ConfigError(CocycleLabError, ValueError):
     """Bad scenario name, override, or serialized description."""

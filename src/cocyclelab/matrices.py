@@ -1,10 +1,11 @@
 """Non-negative matrix kernel.
 
 Entry-sum norms, allowability flags, the Hilbert projective metric and
-Birkhoff contraction coefficient, Gelfand spectral radius, and
-overflow-proof scaled products. Every matrix carries an exact boolean
-support pattern alongside its float entries; zero detection is always
-structural, never a float threshold.
+Birkhoff contraction coefficient, reachability closures, the spectral
+radius from the irreducible class decomposition, and overflow-proof
+scaled products. Every matrix carries an exact boolean support pattern
+alongside its float entries; zero detection is always structural, never
+a float threshold.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     DomainError,
     NotPositiveError,
     RangeError,
@@ -305,67 +305,32 @@ class ScaledProduct:
         return ScaledProduct.from_raw(self.unit @ B.entries, sup, self.log_norm, self.length + 1)
 
 
-def spectral_radius(B, tol: float = 1e-14, max_squarings: int = 200) -> float:
-    """Spectral radius by renormalized repeated squaring.
+def reachability(supports: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of each boolean (..., d, d) support:
+    reach[..., i, j] is True iff some path, possibly empty, leads from i to j."""
+    d = supports.shape[-1]
+    reach = supports.astype(bool) | np.eye(d, dtype=bool)
+    for _ in range((d - 1).bit_length()):  # paths of every length up to 2^k >= d - 1
+        reach = bool_matmul(reach, reach)
+    return reach
 
-    Gelfand estimates ||B^(2^k)||^(1/2^k) are monitored until two
-    successive values differ by less than tol * max(1, estimate); exact
-    for d = 1, and a nilpotent support (B^d structurally zero) gives 0.
-    """
+
+def spectral_radius(B) -> float:
+    """Spectral radius of a non-negative matrix: the largest Perron root
+    over its irreducible classes (see `spectral_radii`)."""
     B = as_matrix(B)
-    return float(spectral_radii(B.entries[None], B.support[None], tol, max_squarings)[0])
+    return float(spectral_radii(B.entries[None], B.support[None])[0])
 
 
-def spectral_radii(entries: np.ndarray, supports: np.ndarray, tol: float = 1e-14,
-                   max_squarings: int = 200) -> np.ndarray:
+def spectral_radii(entries: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """`spectral_radius` of each matrix of a (K, d, d) stack with its exact
-    support, all squared together. A matrix leaves the stack once its
-    estimate has settled, so a settled matrix never raises; the first
-    still-unsettled matrix whose entry sum collapses raises
-    UnderflowError_, and any left after max_squarings raise
-    BudgetExceededError."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    K, d = entries.shape[:2]
-    if d == 1:
-        return entries[:, 0, 0].astype(float)
-    sup = supports
-    for _ in range((d - 1).bit_length()):  # B^(2^k) with 2^k >= d
-        sup = bool_matmul(sup, sup)
-    out = np.zeros(K)
-    live = np.flatnonzero(sup.any(axis=(1, 2)))
-    s = entries[live].sum(axis=(1, 2))
-    # rate = log||B^(2^k)|| / 2^k, updated by exact power-of-two scalings
-    unit, rate = entries[live] / s[:, None, None], np.log(s)
-    prev = est = None
-    for k in range(1, max_squarings + 1):
-        if not len(live):
-            break
-        unit = np.matmul(unit, unit)
-        s = unit.sum(axis=(1, 2))
-        # list membership tests cost less than numpy reductions on a small stack
-        if 0.0 in s.tolist():
-            raise UnderflowError_(
-                "entry-sum collapsed to zero on a structurally nonzero product",
-                position=1 << k,
-            )
-        unit /= s[:, None, None]
-        rate += np.log(s) * 0.5**k
-        prev, est = est, np.exp(rate)
-        if prev is None:
-            continue
-        done = np.abs(est - prev) <= tol * np.maximum(1.0, est)
-        if True in done.tolist():
-            out[live[done]] = est[done]
-            keep = ~done
-            live, unit, rate, est, prev = (a[keep] for a in (live, unit, rate, est, prev))
-    if len(live):
-        raise BudgetExceededError(
-            f"spectral radius did not settle within {max_squarings} squarings",
-            last_estimates=(None if prev is None else float(prev[0]),
-                            None if est is None else float(est[0])),
-        )
-    return out
+    support. Entries joining two irreducible classes (indices that do not
+    reach each other) are dropped, which leaves the spectrum unchanged and
+    makes each class's Perron root simple, so one batched eigvals finds it
+    accurately; a nilpotent support drops everything and gives 0."""
+    reach = reachability(supports)
+    classes = np.where(reach & reach.swapaxes(-1, -2), entries, 0.0)
+    return np.abs(np.linalg.eigvals(classes)).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def _periodic_exponents(table: _FactorTable, periods: np.ndarray,
                         rtol: float = 1e-12) -> np.ndarray:
     """`periodic_exponent` of each orbit whose period of factor indices is
     a row of periods (K, p): the period products of all K*p rotations go
-    through one kernel batch and their spectral radii through one batched
-    squaring."""
+    through one kernel batch and their spectral radii through one
+    `spectral_radii` call."""
     K, p = periods.shape
     _, _, unit, acc, sup = _reduce_groups(table, K * p, p,
                                           lambda rows: _rotation_rows(periods, p, rows))

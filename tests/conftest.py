@@ -126,19 +126,11 @@ def naive_spectrum(spec, betas, horizon, h=None):
     return out
 
 
-def naive_gelfand(B, tol=1e-14):
-    """Scalar Gelfand loop on one matrix with a nonzero support: the
-    estimate ||B^(2^k)||^(1/2^k) and the squaring k at which it first
-    moves by at most tol * max(1, estimate)."""
-    s = float(B.sum())
-    unit, log_norm, prev = B / s, math.log(s), None
-    for k in range(1, 200):
-        unit = unit @ unit
-        s = float(unit.sum())
-        unit = unit / s
-        log_norm = 2.0 * log_norm + math.log(s)
-        est = math.exp(log_norm / 2**k)
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
-            return est, k
-        prev = est
-    raise AssertionError("did not settle")
+def mp_spectral_radius(B, dps=40) -> float:
+    """Largest eigenvalue modulus of B from mpmath's eigensolver at dps
+    digits (a defective Perron root still comes out to about dps/2 digits)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        values, _ = mpmath.eig(mpmath.matrix(np.asarray(B, dtype=float).tolist()), left=False)
+        return float(max(abs(v) for v in values))

@@ -5,17 +5,22 @@ import pytest
 
 import cocyclelab as cl
 from cocyclelab.errors import (
-    BudgetExceededError,
     DomainError,
     NotPositiveError,
     UnderflowError_,
 )
-from cocyclelab.matrices import NonNegMatrix, ScaledProduct, bool_matmul, spectral_radii
+from cocyclelab.matrices import (
+    NonNegMatrix,
+    ScaledProduct,
+    bool_matmul,
+    reachability,
+    spectral_radii,
+)
 
 from conftest import (
     brute_phi,
     mp_log_entry_sum,
-    naive_gelfand,
+    mp_spectral_radius,
     random_positive,
     random_sparse_nonneg,
 )
@@ -133,98 +138,91 @@ def test_hilbert_contraction(rng):
 
 
 def test_spectral_radius_closed_forms():
-    assert cl.spectral_radius([[1, 1], [1, 0]]) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-11)
-    assert cl.spectral_radius(np.diag([10.0, 0.1])) == pytest.approx(10.0, abs=1e-9)
+    assert cl.spectral_radius([[1, 1], [1, 0]]) == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
+    assert cl.spectral_radius(np.diag([10.0, 0.1])) == 10.0
     assert cl.spectral_radius([[5.0]]) == 5.0  # exact for d = 1
     assert cl.spectral_radius([[0, 1], [0, 0]]) == 0.0  # nilpotent support
-    with pytest.raises(BudgetExceededError):
-        cl.spectral_radius([[1, 1], [1, 0]], tol=1e-14, max_squarings=1)
 
 
 def test_spectral_radius_vs_eigvals(rng):
+    # the eigenvalues come from mpmath at 40 digits, independent of numpy
     for _ in range(100):
         d = rng.integers(2, 5)
         A, B = rng.random((d, d)), rng.random((d, d))
         got = cl.spectral_radius(A @ B)
-        expect = max(abs(np.linalg.eigvals(A @ B)))
-        assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
-        assert cl.spectral_radius(B @ A) == pytest.approx(got, rel=1e-9, abs=1e-12)
+        assert got == pytest.approx(mp_spectral_radius(A @ B), rel=1e-14)
+        assert cl.spectral_radius(B @ A) == pytest.approx(got, rel=1e-14)
 
 
-# 3x3 members for the batched squaring: a nilpotent support, one that
-# settles at the first comparison (||B^n|| = rho^n), one after about 27
-# squarings, a generic one after about 46, and a 3-cycle whose unit
-# squares lose all mass to underflow at B^8 before its estimate settles
-_NILPOTENT = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-_FAST = np.diag([1.0, 0.0, 0.0])
-_MEDIUM = np.array([[1.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_SLOW = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-_COLLAPSE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-170], [1e-170, 0.0, 0.0]]) * 1e150
+def _defective(rng):
+    """A permuted [[A, C], [0, A]] with positive 3x3 A and C: its Perron
+    root rho(A) is double and defective. Returns the matrix and A."""
+    A, C = rng.uniform(0.5, 2.0, (2, 3, 3))
+    perm = rng.permutation(6)
+    return np.block([[A, C], [np.zeros((3, 3)), A]])[np.ix_(perm, perm)], A
 
 
-def _radii(*members, **kw):
+def _mixed_stack():
+    """Five permuted 6x6 members: a nilpotent support, a single 1x1 class
+    (rho = 2.5), a positive matrix, a defective Perron root and a weighted
+    6-cycle, whose support is imprimitive (rho = (product of weights)^(1/6))."""
+    rng = np.random.default_rng(6)
+    upper = np.triu(rng.uniform(0.5, 2.0, (6, 6)), 1)
+    cycle = np.roll(np.diag(rng.uniform(0.5, 2.0, 6)), 1, axis=1)
+    members = [upper, upper + np.diag([0.0, 0.0, 2.5, 0.0, 0.0, 0.0]),
+               rng.uniform(0.5, 2.0, (6, 6)), _defective(rng)[0], cycle]
+    perm = rng.permutation(6)
+    return np.stack([m[np.ix_(perm, perm)] for m in members]), math.prod(cycle.sum(axis=1))
+
+
+def _radii(*members):
     stack = np.stack(members)
-    return spectral_radii(stack, stack > 0, **kw)
+    return spectral_radii(stack, stack > 0)
+
+
+def test_spectral_radii_match_mpmath_on_a_mixed_stack():
+    stack, cycle_product = _mixed_stack()
+    got = _radii(*stack)
+    assert got[0] == 0.0
+    for value, member in zip(got[1:], stack[1:]):
+        assert value == pytest.approx(mp_spectral_radius(member), rel=1e-14)
+    assert got[1] == pytest.approx(2.5, rel=1e-14)
+    assert got[4] == pytest.approx(cycle_product ** (1 / 6), rel=1e-14)
 
 
 def test_spectral_radii_mixed_stack_matches_each_member_alone():
-    members = [_SLOW, _NILPOTENT, _FAST, _MEDIUM]
-    got = _radii(*members)
-    for value, member in zip(got, members):
+    stack, _ = _mixed_stack()
+    got = _radii(*stack)
+    for value, member in zip(got, stack):
         assert value == _radii(member)[0] == cl.spectral_radius(member)  # bit-equal
-    assert got[1] == 0.0
-    assert got[2] == 1.0 and got[3] == pytest.approx(1.0, abs=1e-13)
-    assert got[0] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-13)
 
 
-def test_spectral_radii_keep_the_scalar_stopping_rule():
-    # below 1 the tolerance is absolute, above 1 relative: each member must
-    # settle on exactly the squaring the scalar loop settles on
-    rng = np.random.default_rng(3)
-    members = [_FAST, _MEDIUM, _SLOW]
-    for scale in (1e-3, 0.3, 7.0):
-        members += [_MEDIUM * scale, rng.uniform(0.0, 1.0, (3, 3)) * scale]
-    got = _radii(*members)
-    for value, member in zip(got, members):
-        est, k = naive_gelfand(member)
-        assert value == pytest.approx(est, rel=1e-15)
-        assert _radii(member, max_squarings=k)[0] == value
-        with pytest.raises(BudgetExceededError):
-            _radii(member, max_squarings=k - 1)
+def test_spectral_radii_defective_perron_roots_match_mpmath():
+    # plain eigvals misses a defective root by about sqrt(eps) (2e-8 on
+    # these draws); dropping the entries between classes makes it simple
+    rng = np.random.default_rng(7)
+    draws = [_defective(rng) for _ in range(200)]
+    got = _radii(*(m for m, _ in draws))
+    expect = np.array([mp_spectral_radius(A) for _, A in draws])
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
 
 
-def test_spectral_radii_unsettled_member_exceeds_budget():
-    np.testing.assert_array_equal(_radii(_FAST, _MEDIUM, max_squarings=30),
-                                  _radii(_FAST, _MEDIUM))
-    with pytest.raises(BudgetExceededError) as alone:
-        _radii(_SLOW, max_squarings=30)
-    with pytest.raises(BudgetExceededError) as mixed:
-        _radii(_FAST, _SLOW, _MEDIUM, max_squarings=30)
-    assert mixed.value.last_estimates == alone.value.last_estimates
-    assert alone.value.last_estimates[0] != alone.value.last_estimates[1]
-    # a member that settles on the last allowed squaring leaves before the report
-    with pytest.raises(BudgetExceededError) as alone:
-        _radii(_SLOW, max_squarings=27)
-    with pytest.raises(BudgetExceededError) as mixed:
-        _radii(_MEDIUM, _SLOW, max_squarings=27)
-    assert mixed.value.last_estimates == alone.value.last_estimates
+def test_spectral_radii_collapsing_member_gets_its_closed_form():
+    # a weighted 3-cycle with entries 1e150, 1e-20 and 1e-20: scaled so
+    # badly that its powers underflow, and mpmath's eig returns 0 for it
+    collapse = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-170], [1e-170, 0.0, 0.0]]) * 1e150
+    expect = math.cbrt(1e150 * 1e-20 * 1e-20)
+    assert _radii(collapse)[0] == pytest.approx(expect, rel=1e-14)
+    assert _radii(np.eye(3), collapse)[1] == pytest.approx(expect, rel=1e-14)
 
 
-def test_spectral_radii_collapsing_member_underflows():
-    with pytest.raises(UnderflowError_) as alone:
-        _radii(_COLLAPSE)
-    assert alone.value.position == 8
-    with pytest.raises(UnderflowError_) as mixed:
-        _radii(_FAST, _SLOW, _COLLAPSE, _NILPOTENT)
-    assert mixed.value.position == 8
-
-
-def test_spectral_radius_rejects_non_positive_tol():
-    for tol in (0.0, -1e-14):
-        with pytest.raises(DomainError):
-            cl.spectral_radius([[1.0, 1.0], [1.0, 0.0]], tol=tol)
-        with pytest.raises(DomainError):
-            _radii(_SLOW, tol=tol)
+def test_reachability_is_the_reflexive_transitive_closure(rng):
+    for d in (1, 2, 5, 9):
+        sup = rng.random((4, d, d)) < 0.2
+        expect = np.eye(d, dtype=bool) | sup
+        for _ in range(d):
+            expect = expect | bool_matmul(expect, sup)
+        np.testing.assert_array_equal(reachability(sup), expect)
 
 
 def test_scaled_product_single_factor():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab.errors import ConditionUnsatisfiedError, DomainError, InsufficientContextError
+from cocyclelab.errors import (
+    ConditionUnsatisfiedError,
+    DomainError,
+    InsufficientContextError,
+    UnderflowError_,
+)
 
 from conftest import word
 
@@ -185,6 +190,14 @@ def test_periodic_exponent_rotation_invariant():
 def test_periodic_exponent_nilpotent():
     spec = cl.CocycleSpec(A1, 1, {"0": [[0.0, 1.0], [0.0, 0.0]]})
     assert cl.periodic_exponent(spec, word("0", 1)) == -np.inf
+
+
+def test_periodic_exponent_underflowed_support_entry_raises():
+    # the period product diag(1, 1e-340) holds a float zero on its support
+    spec = cl.CocycleSpec(A1, 1, {"0": [[1.0, 0.0], [0.0, 1e-170]]})
+    assert cl.periodic_exponent(spec, word("0", 1)) == 0.0
+    with pytest.raises(UnderflowError_):
+        cl.periodic_exponent(spec, word("00", 1))
 
 
 def zero_at(position):
