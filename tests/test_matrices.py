@@ -197,6 +197,20 @@ def test_spectral_radii_mixed_stack_matches_each_member_alone():
         assert value == _radii(member)[0] == cl.spectral_radius(member)  # bit-equal
 
 
+def test_spectral_radii_slowly_settling_members_need_no_budget():
+    # members whose power rates settle slowly (a golden-ratio block beside
+    # 0.5; an idempotent with a 1e-6 leak) get their values in any stack
+    fast = np.diag([1.0, 0.0, 0.0])
+    medium = np.array([[1.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    slow = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    got = _radii(fast, slow, medium)
+    assert got[0] == 1.0 and got[2] == 1.0
+    assert got[1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
+    assert got[1] == pytest.approx(mp_spectral_radius(slow), rel=1e-15)
+    for value, member in zip(got, (fast, slow, medium)):
+        assert value == _radii(member)[0]  # bit-equal
+
+
 def test_spectral_radii_defective_perron_roots_match_mpmath():
     # plain eigvals misses a defective root by about sqrt(eps) (2e-8 on
     # these draws); dropping the entries between classes makes it simple
