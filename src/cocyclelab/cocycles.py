@@ -24,7 +24,17 @@ from .errors import (
     UnderflowError_,
 )
 from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds, reachability
-from .words import Alphabet, FiniteWord, WordSource, _bernoulli_symbols, _markov_symbols
+from .words import (
+    Alphabet,
+    FiniteWord,
+    WordSource,
+    _as_symbol_array,
+    _bernoulli_symbols,
+    _markov_symbols,
+    _probabilities,
+    _read_symbols,
+    _texts,
+)
 
 _NEG_INF = float("-inf")
 _TINY = 1e-300  # floor for structurally positive entries inside a block
@@ -35,10 +45,13 @@ class CocycleSpec:
     """Total map from depth-r words to d x d non-negative matrices.
 
     The table must cover all m^r words; a default matrix may fill the
-    unused ones. The minimal structural nonzero entry over the whole table
-    (the entry floor) and the maximal entry are recorded once and drive
-    the norm envelope. The product kernel reads the table through
-    `_factor_table`.
+    unused ones, and two keys naming one word are rejected. The table is
+    read in one pass: the keys become one (K, r) symbol array and the
+    values one (K, d, d) stack, each checked once, and the stack is filed
+    under the keys' word indices. The minimal structural nonzero entry over
+    the whole table (the entry floor) and the maximal entry are recorded
+    once and drive the norm envelope. The product kernel reads the table
+    through `_factor_table`; `matrices` is built on first access.
     """
 
     def __init__(self, alphabet: Alphabet, depth: int, table: Mapping, default=None,
@@ -47,43 +60,48 @@ class CocycleSpec:
             raise DomainError("cocycle depth must be >= 1")
         self.alphabet = alphabet
         self.depth = int(depth)
-        m = alphabet.size
-        count = m**self.depth
-        given: dict[tuple[int, ...], NonNegMatrix] = {}
-        for key, val in table.items():
-            given[self._key_symbols(key)] = as_matrix(val)
-        self._given = given
-        self._default = as_matrix(default) if default is not None else None
-        matrices: list[NonNegMatrix | None] = [None] * count
-        for symbols, mat in given.items():
-            matrices[self.word_index(symbols)] = mat
-        missing = [i for i, mat in enumerate(matrices) if mat is None]
-        if missing and self._default is None:
+        count = alphabet.size**self.depth
+        keys = list(table)
+        words = _key_symbols(keys, alphabet, self.depth)
+        index = self.factor_indices(words, 0, 1)[:, 0]
+        order = np.argsort(index, kind="stable")
+        ranked = index[order]
+        same = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if len(same):
+            a, b = order[same[0]], order[same[0] + 1]
+            raise DomainError(f"table keys {keys[a]!r} and {keys[b]!r} name the same word")
+        fill = len(keys) < count
+        if fill and default is None:
             raise DomainError(
-                f"table covers {count - len(missing)}/{count} depth-{self.depth} words "
+                f"table covers {len(keys)}/{count} depth-{self.depth} words "
                 "and no default matrix was given"
             )
-        for i in missing:
-            matrices[i] = self._default
-        dims = {mat.dim for mat in matrices}
-        if len(dims) != 1:
-            raise DomainError("all table matrices must share one dimension")
-        self.dim = dims.pop()
-        self.matrices: list[NonNegMatrix] = matrices
-        nonzero = [mat.entries[mat.support] for mat in matrices if not mat.is_zero]
-        if not nonzero:
+        stack = _entry_stack([table[key] for key in keys] + ([default] if default is not None else []))
+        used = stack if fill else stack[: len(keys)]  # the default counts only where it fills
+        positive = used[used > 0]
+        if not positive.size:
             raise DomainError("cocycle table must contain at least one nonzero entry")
-        flat = np.concatenate(nonzero)
-        self.entry_floor = float(flat.min())  # the uniform lower bound b
-        self.a_upper = float(max(mat.entries.max() for mat in matrices))
+        self.dim = stack.shape[1]
+        self.entry_floor = float(positive.min())  # the uniform lower bound b
+        self.a_upper = float(used.max())
         self.declared_ell0 = declared_ell0
-        self._table = _factor_table(np.stack([mat.entries for mat in matrices]))
+        full = np.empty((count, self.dim, self.dim))
+        if fill:
+            full[:] = stack[-1]
+        full[index] = stack[: len(keys)]
+        full.setflags(write=False)
+        self._stack = full
+        self._words, self._index = words[order], ranked
+        self._default = stack[-1].copy() if default is not None else None
+        self._matrices: list[NonNegMatrix] | None = None
+        self._table = _factor_table(full)
 
-    def _key_symbols(self, key) -> tuple[int, ...]:
-        word = FiniteWord(key, self.alphabet)
-        if len(word) != self.depth:
-            raise DomainError(f"table key {key!r} does not have depth {self.depth}")
-        return tuple(word)
+    @property
+    def matrices(self) -> list[NonNegMatrix]:
+        """The matrix of every depth-r word, in `word_index` order."""
+        if self._matrices is None:
+            self._matrices = [NonNegMatrix(entries) for entries in self._stack]
+        return self._matrices
 
     def word_index(self, symbols: np.ndarray) -> int:
         idx = 0
@@ -121,11 +139,11 @@ class CocycleSpec:
         d = {
             "alphabet": self.alphabet.size,
             "depth": self.depth,
-            "matrices": {FiniteWord(w, self.alphabet).to_text(): mat.entries.tolist()
-                         for w, mat in sorted(self._given.items())},
+            "matrices": dict(zip(_texts(self._words, self.alphabet),
+                                 self._stack[self._index].tolist())),
         }
         if self._default is not None:
-            d["default"] = self._default.entries.tolist()
+            d["default"] = self._default.tolist()
         if self.declared_ell0 is not None:
             d["declared_ell0"] = self.declared_ell0
         return d
@@ -139,6 +157,38 @@ class CocycleSpec:
             default=d.get("default"),
             declared_ell0=d.get("declared_ell0"),
         )
+
+
+def _key_symbols(keys: list, alphabet: Alphabet, depth: int) -> np.ndarray:
+    """The (K, depth) symbols of the table keys, each read by the word-text
+    parser, all checked against the byte range and the alphabet at once."""
+    rows = [_read_symbols(key, alphabet) for key in keys]
+    for key, row in zip(keys, rows):
+        if len(row) != depth:
+            raise DomainError(f"table key {key!r} does not have depth {depth}")
+    words = _as_symbol_array(np.array(rows), alphabet).reshape(len(keys), depth)
+    alphabet.validate(words)
+    return words
+
+
+def _entry_stack(values: list) -> np.ndarray:
+    """The table values as one (K, d, d) float stack, checked at once; a
+    stack that does not form raises what `NonNegMatrix` raises for the
+    first bad value, or that the dimensions differ."""
+    raw = [v.entries if isinstance(v, NonNegMatrix) else v for v in values]
+    try:
+        stack = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError):  # ragged, or a value is not numeric
+        stack = None
+    if stack is None or stack.ndim != 3 or not 1 <= stack.shape[1] == stack.shape[2]:
+        for v in raw:
+            as_matrix(v)
+        raise DomainError("all table matrices must share one dimension")
+    if not np.isfinite(stack).all():
+        raise RangeError("matrix entries must be finite")
+    if (stack < 0).any():
+        raise DomainError("matrix entries must be non-negative")
+    return stack
 
 
 class _FactorTable(NamedTuple):
@@ -532,6 +582,10 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
     arr = sample_prefix.symbols
     supports = spec._table.supports
     chunk = max(1, _GATHER_BYTES // (d * d * 8))
+    observed = arr[start:]
+    # names[k]: rank of the observed window of length `named` at k, renamed
+    # by one np.unique per added symbol; ranks stay below len(observed) * m
+    names, named = np.zeros(len(observed) + 1, dtype=np.intp), 0
 
     def first_witness(windows: np.ndarray, ell: int) -> PositivityWitness | None:
         # exact support products of all windows at once, first hit in order
@@ -544,7 +598,7 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
             return None
         P = np.eye(d)
         for f in idx[hits[0]]:
-            P = P @ spec.matrices[f].entries
+            P = P @ spec._stack[f]
         b = float(P.min())
         if b <= 0.0:
             raise UnderflowError_("positive support product underflowed to float zero",
@@ -561,11 +615,13 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
             take = lambda c0, c1: (
                 np.arange(c0, c1, dtype=np.int64)[:, None] // place % m).astype(np.uint8)
         else:
-            if len(arr) - start < wlen:
+            if len(observed) < wlen:
                 break
-            windows = sliding_window_view(arr[start:], wlen)
-            flat = np.ascontiguousarray(windows).view(np.dtype((np.void, wlen))).reshape(-1)
-            distinct = windows[np.sort(np.unique(flat, return_index=True)[1])]
+            while named < wlen:
+                _, first, names = np.unique(names[:-1] * m + observed[named:],
+                                            return_index=True, return_inverse=True)
+                named += 1
+            distinct = sliding_window_view(observed, wlen)[np.sort(first)]
             count = len(distinct)
             take = lambda c0, c1: distinct[c0:c1]
         for c0 in range(0, count, chunk):
@@ -595,9 +651,9 @@ class MeasureModel(ABC):
 
 class BernoulliMeasure(MeasureModel):
     def __init__(self, probabilities):
-        probs = np.asarray(probabilities, dtype=float)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise DomainError("probabilities must be non-negative and sum to 1")
+        probs = _probabilities(probabilities)
+        if probs.ndim != 1:
+            raise DomainError("probabilities must form a vector")
         self.probabilities = probs
         self.alphabet = Alphabet(len(probs))
 
@@ -610,11 +666,9 @@ class BernoulliMeasure(MeasureModel):
 
 class MarkovMeasure(MeasureModel):
     def __init__(self, transition, stationary=None):
-        P = np.asarray(transition, dtype=float)
+        P = _probabilities(transition)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DomainError("transition must be square")
-        if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-            raise DomainError("transition rows must be probability vectors")
         self.transition = P
         self.alphabet = Alphabet(P.shape[0])
         if stationary is None:

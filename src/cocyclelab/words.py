@@ -48,7 +48,42 @@ class Alphabet:
         return FiniteWord(data, self)
 
 
+def _texts(rows: np.ndarray, alphabet: Alphabet) -> list[str]:
+    """The text of each row of a (K, n) symbol array: one digit per symbol
+    over at most 10 symbols, space-separated numbers otherwise."""
+    sep = "" if alphabet.size <= 10 else " "
+    return [sep.join(map(str, row)) for row in rows.tolist()]
+
+
+def _probabilities(values) -> np.ndarray:
+    """values as floats whose last axis holds probability vectors: finite,
+    non-negative and summing to 1 within 1e-12, else DomainError."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        raise DomainError("probabilities must form a vector")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("probabilities must be finite")
+    if np.any(arr < 0):
+        raise DomainError("probabilities must be non-negative")
+    if np.abs(arr.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-12:
+        raise DomainError("probabilities must sum to 1 within 1e-12")
+    return arr
+
+
 def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
+    """data as a flat uint8 symbol array, checked to fit in a byte."""
+    arr = _read_symbols(data, alphabet)
+    if arr.dtype != np.uint8 and arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= MAX_ALPHABET:  # would wrap around in the uint8 cast
+            raise DomainError(f"symbol {lo if lo < 0 else hi} outside 0..{MAX_ALPHABET - 1}")
+    return arr.astype(np.uint8, copy=False)
+
+
+def _read_symbols(data, alphabet: Alphabet) -> np.ndarray:
+    """data as a flat array of symbols: a FiniteWord's, text read by the
+    word-text rule, or integers, whose byte range `_as_symbol_array`
+    checks."""
     if isinstance(data, FiniteWord):
         return data.symbols
     if isinstance(data, str):
@@ -62,12 +97,7 @@ def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise DomainError(f"word text {data!r} must be digits separated by spaces")
         data = [int(tok) for tok in tokens]
-    arr = np.asarray(data).reshape(-1)
-    if arr.dtype != np.uint8 and arr.size:
-        lo, hi = arr.min(), arr.max()
-        if lo < 0 or hi >= MAX_ALPHABET:  # would wrap around in the uint8 cast
-            raise DomainError(f"symbol {lo if lo < 0 else hi} outside 0..{MAX_ALPHABET - 1}")
-    return arr.astype(np.uint8, copy=False)
+    return np.asarray(data).reshape(-1)
 
 
 class FiniteWord:
@@ -123,9 +153,7 @@ class FiniteWord:
         return f"FiniteWord({text!r}, m={self.alphabet.size})"
 
     def to_text(self) -> str:
-        if self.alphabet.size <= 10:
-            return "".join(str(int(s)) for s in self.symbols)
-        return " ".join(str(int(s)) for s in self.symbols)
+        return _texts(self.symbols[None], self.alphabet)[0]
 
     def to_bytes(self) -> bytes:
         """One symbol per byte, the documented raw export format."""
@@ -172,7 +200,18 @@ class WordSource(ABC):
 
     @abstractmethod
     def _materialize(self, n: int) -> np.ndarray:
-        """Return at least the first n symbols."""
+        """Return at least the first n symbols; `prefix` caches all of them.
+
+        The seeded samplers redraw their stream from position 0 on every
+        call, so they return `_sample_length(n)` symbols: a prefix read one
+        symbol longer each time is then drawn O(log n) times, not n times.
+        Block schedules and the squarefree sieve return exactly n, since
+        one more block or sieve entry may be unbuildable or past capacity.
+        """
+
+    def _sample_length(self, n: int) -> int:
+        """n, or more than twice the cached length when that is larger."""
+        return max(n, 2 * len(self._cache) + 1)
 
     @abstractmethod
     def describe(self) -> dict:
@@ -307,19 +346,17 @@ class BernoulliSource(WordSource):
     """IID symbols with fixed probabilities, seeded and replayable."""
 
     def __init__(self, probabilities, seed: int, alphabet: Alphabet | None = None):
-        probs = np.asarray(probabilities, dtype=float)
+        probs = _probabilities(probabilities)
         if alphabet is None:
             alphabet = Alphabet(len(probs))
         super().__init__(alphabet)
-        if len(probs) != alphabet.size or np.any(probs < 0):
-            raise DomainError("need one non-negative probability per symbol")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise DomainError("probabilities must sum to 1 within 1e-12")
+        if probs.shape != (alphabet.size,):
+            raise DomainError("need one probability per symbol")
         self.probabilities = probs
         self.seed = int(seed)
 
     def _materialize(self, n):
-        return _bernoulli_symbols(self.probabilities, n, self.seed)
+        return _bernoulli_symbols(self.probabilities, self._sample_length(n), self.seed)
 
     def describe(self):
         return {
@@ -334,24 +371,19 @@ class MarkovSource(WordSource):
     """Markov chain sample path with fixed transition rows and seed."""
 
     def __init__(self, transition, initial, seed: int, alphabet: Alphabet | None = None):
-        P = np.asarray(transition, dtype=float)
+        P, init = _probabilities(transition), _probabilities(initial)
         if alphabet is None:
             alphabet = Alphabet(P.shape[0])
         super().__init__(alphabet)
         m = alphabet.size
-        init = np.asarray(initial, dtype=float)
-        if P.shape != (m, m) or len(init) != m:
+        if P.shape != (m, m) or init.shape != (m,):
             raise DomainError("transition must be m x m and initial length m")
-        if np.any(P < 0) or np.any(init < 0):
-            raise DomainError("probabilities must be non-negative")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12 or abs(init.sum() - 1.0) > 1e-12:
-            raise DomainError("probability rows must sum to 1 within 1e-12")
         self.transition = P
         self.initial = init
         self.seed = int(seed)
 
     def _materialize(self, n):
-        return _markov_symbols(self.transition, self.initial, n, self.seed)
+        return _markov_symbols(self.transition, self.initial, self._sample_length(n), self.seed)
 
     def describe(self):
         return {

@@ -134,3 +134,73 @@ def mp_spectral_radius(B, dps=40) -> float:
     with mpmath.workdps(dps):
         values, _ = mpmath.eig(mpmath.matrix(np.asarray(B, dtype=float).tolist()), left=False)
         return float(max(abs(v) for v in values))
+
+
+def reference_cocycle_table(alphabet, depth, table, default=None):
+    """Key-by-key table build, one FiniteWord and one NonNegMatrix per key
+    and a Python word index each: the reference for `CocycleSpec`'s
+    stacked pass. Returns the matrix of every word (word-index order), the
+    entry floor, the maximal entry and the description."""
+    from types import SimpleNamespace
+
+    from cocyclelab.errors import DomainError
+    from cocyclelab.matrices import as_matrix
+
+    m = alphabet.size
+    given = {}
+    for key, val in table.items():
+        w = FiniteWord(key, alphabet)
+        if len(w) != depth:
+            raise DomainError(f"table key {key!r} does not have depth {depth}")
+        given[tuple(w)] = as_matrix(val)
+    fallback = as_matrix(default) if default is not None else None
+    matrices = [None] * m**depth
+    for symbols, mat in given.items():
+        idx = 0
+        for s in symbols:
+            idx = idx * m + s
+        matrices[idx] = mat
+    if None in matrices:
+        if fallback is None:
+            raise DomainError("table is not total and no default matrix was given")
+        matrices = [fallback if mat is None else mat for mat in matrices]
+    if len({mat.dim for mat in matrices}) != 1:
+        raise DomainError("all table matrices must share one dimension")
+    nonzero = [mat.entries[mat.support] for mat in matrices if not mat.is_zero]
+    if not nonzero:
+        raise DomainError("cocycle table must contain at least one nonzero entry")
+    described = {
+        "alphabet": m,
+        "depth": depth,
+        "matrices": {FiniteWord(w, alphabet).to_text(): mat.entries.tolist()
+                     for w, mat in sorted(given.items())},
+    }
+    if fallback is not None:
+        described["default"] = fallback.entries.tolist()
+    return SimpleNamespace(
+        matrices=matrices,
+        entry_floor=float(np.concatenate(nonzero).min()),
+        a_upper=float(max(mat.entries.max() for mat in matrices)),
+        describe=described,
+    )
+
+
+def naive_observed_witness(spec, symbols, max_ell, start=0):
+    """First (window, ell) whose ell-step support product is all true,
+    scanning each length's distinct windows in first-occurrence order
+    (deduplicated by their bytes), one boolean product per step."""
+    for ell in range(1, max_ell + 1):
+        wlen = ell + spec.depth - 1
+        seen = set()
+        for k in range(start, len(symbols) - wlen + 1):
+            window = symbols[k : k + wlen]
+            if window.tobytes() in seen:
+                continue
+            seen.add(window.tobytes())
+            sup = np.eye(spec.dim, dtype=bool)
+            for t in range(ell):
+                factor = spec.evaluate(FiniteWord(window[t : t + spec.depth], spec.alphabet))
+                sup = (sup.astype(int) @ factor.support.astype(int)) > 0
+            if sup.all():
+                return window, ell
+    return None

@@ -1,13 +1,23 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab.errors import DomainError, InsufficientContextError
-from cocyclelab.matrices import ScaledProduct
+from cocyclelab import scenarios, textform, words
+from cocyclelab.cocycles import _factor_table
+from cocyclelab.errors import DomainError, InsufficientContextError, RangeError
+from cocyclelab.matrices import NonNegMatrix, ScaledProduct
 
-from conftest import random_positive, word
+from conftest import (
+    naive_observed_witness,
+    random_positive,
+    random_sparse_nonneg,
+    reference_cocycle_table,
+    word,
+)
 
 A1, A2, A4 = cl.Alphabet(1), cl.Alphabet(2), cl.Alphabet(4)
 
@@ -57,6 +67,103 @@ def test_table_must_be_total():
     spec = cl.CocycleSpec(A2, 1, {"0": [[2.0]]}, default=[[1.0]])
     assert spec.evaluate(word("1", 2)).entries[0, 0] == 1.0
     assert spec.entry_floor == 1.0
+
+
+def _random_table(rng, m, depth, d, form, holes):
+    """A depth-r table over m symbols with d x d values (the first positive,
+    the third all zero, the rest sparse), keyed by str, tuple or FiniteWord, with every third word left
+    to the default when holes is set."""
+    alphabet = cl.Alphabet(m)
+    table = {}
+    for i, w in enumerate(itertools.product(range(m), repeat=depth)):
+        if holes and i % 3 == 1:
+            continue
+        key = {"str": cl.FiniteWord(w, alphabet).to_text(), "tuple": w,
+               "word": cl.FiniteWord(np.array(w), alphabet)}[form]
+        table[key] = (random_positive(rng, d) if i == 0 else np.zeros((d, d)) if i == 2
+                      else random_sparse_nonneg(rng, d))
+    return alphabet, table
+
+
+@pytest.mark.parametrize("m,depth,d", [(1, 1, 1), (2, 1, 16), (2, 9, 2), (3, 4, 5),
+                                       (4, 2, 16), (12, 2, 3), (30, 1, 4), (2, 5, 1)])
+@pytest.mark.parametrize("form", ["str", "tuple", "word"])
+@pytest.mark.parametrize("holes", [False, True])
+def test_stacked_table_build_matches_key_by_key_reference(m, depth, d, form, holes):
+    rng = np.random.default_rng([m, depth, d, holes])
+    alphabet, table = _random_table(rng, m, depth, d, form, holes)
+    default = random_sparse_nonneg(rng, d) + np.eye(d) if holes else None
+    if holes and len(table) == m**depth:
+        default = None  # a one-word table has no hole to fill
+    spec = cl.CocycleSpec(alphabet, depth, table, default=default)
+    ref = reference_cocycle_table(alphabet, depth, table, default=default)
+    want = _factor_table(np.stack([mat.entries for mat in ref.matrices]))
+    for got, expected in zip(spec._table, want):
+        np.testing.assert_array_equal(got, expected)
+    assert (spec.entry_floor, spec.a_upper, spec.dim) == (ref.entry_floor, ref.a_upper, d)
+    assert len(spec.matrices) == len(ref.matrices)
+    for got, expected in zip(spec.matrices, ref.matrices):
+        np.testing.assert_array_equal(got.entries, expected.entries)
+        np.testing.assert_array_equal(got.support, expected.support)
+    assert spec.describe() == ref.describe
+    assert textform.dumps("cocycle", spec.describe()) == textform.dumps("cocycle", ref.describe)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("depth,table,default,exc", [
+    (1, {"0": [[1.0, 2.0]], "1": [[1.0, 2.0]]}, None, DomainError),  # non-square
+    (1, {"0": [[1.0]], "1": np.eye(2)}, None, DomainError),  # mixed d
+    (1, {"0": [[1.0]]}, np.eye(2), DomainError),  # mixed d through the default
+    (1, {"0": [[NAN]], "1": [[1.0]]}, None, RangeError),
+    (1, {"0": [[INF]], "1": [[1.0]]}, None, RangeError),
+    (1, {"0": [[1.0]], "1": [[-1.0]]}, None, DomainError),
+    (1, {"0": [[1.0]]}, [[NAN]], RangeError),  # a bad default
+    (1, {"00": [[1.0]], "1": [[1.0]]}, None, DomainError),  # key of the wrong depth
+    (2, {"00": [[1.0]], "01": [[1.0]], "10": [[1.0]], "1": [[1.0]]}, None, DomainError),
+    (1, {"0": [[1.0]], "2": [[1.0]]}, None, DomainError),  # key outside the alphabet
+    (1, {(0,): [[1.0]], (5,): [[1.0]]}, None, DomainError),
+    (1, {(0,): [[1.0]], (257,): [[1.0]]}, None, DomainError),  # would wrap to 1 as a byte
+    (1, {(0,): [[1.0]], (-1,): [[1.0]]}, None, DomainError),
+    (1, {"0": [[1.0]]}, None, DomainError),  # missing words, no default
+    (1, {}, None, DomainError),
+    (1, {"0": [[0.0]], "1": [[0.0]]}, None, DomainError),  # all-zero table
+    (1, {"0": [[0.0]]}, [[0.0]], DomainError),
+])
+def test_table_rejections_match_key_by_key_reference(depth, table, default, exc):
+    with pytest.raises(exc):
+        reference_cocycle_table(A2, depth, table, default=default)
+    with pytest.raises(exc):
+        cl.CocycleSpec(A2, depth, table, default=default)
+
+
+def test_duplicate_table_keys_are_rejected():
+    A, B = [[1.0]], [[2.0]]
+    table = {"01": A, (0, 1): B, "00": A, "10": A, "11": A}
+    with pytest.raises(DomainError, match=re.escape("table keys '01' and (0, 1) name the same word")):
+        cl.CocycleSpec(A2, 2, table)
+    a30 = cl.Alphabet(30)
+    with pytest.raises(DomainError, match="name the same word"):
+        cl.CocycleSpec(a30, 1, {"12": A, (12,): B}, default=A)
+
+
+def test_table_build_makes_no_per_key_objects(monkeypatch):
+    counts = {"FiniteWord": 0, "NonNegMatrix": 0}
+    for cls in (cl.FiniteWord, NonNegMatrix):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    spec = scenarios._fx_cocycle(9)
+    assert counts == {"FiniteWord": 0, "NonNegMatrix": 0}
+    spec.describe()
+    assert counts == {"FiniteWord": 0, "NonNegMatrix": 0}
+    assert len(spec.matrices) == 512 and counts["NonNegMatrix"] == 512
+    assert spec.matrices is spec.matrices  # built once, on first access
 
 
 # --- partial products -------------------------------------------------------
@@ -281,7 +388,34 @@ def test_positivity_no_witness_for_diagonal_family():
     assert cl.check_positivity_condition(spec, sample, max_ell=8) is None
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_observed_positivity_matches_naive_first_occurrence_scan(seed):
+    rng = np.random.default_rng(seed)
+    m, depth = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    table = {w: random_sparse_nonneg(rng, 3, density=0.45)
+             for w in itertools.product(range(m), repeat=depth)}
+    spec = cl.CocycleSpec(cl.Alphabet(m), depth, table)
+    sample = cl.BernoulliSource(np.full(m, 1.0 / m), seed).prefix(400)
+    for start in (0, 7):
+        hit = cl.check_positivity_condition(spec, sample, max_ell=6, start=start)
+        want = naive_observed_witness(spec, sample.symbols, 6, start)
+        if want is None:
+            assert hit is None
+            continue
+        assert hit.u.symbols.tolist() == want[0].tolist() and hit.ell0 == want[1]
+
+
 # --- lambda estimates -------------------------------------------------------
+
+
+def test_bernoulli_measure_rejects_nan_probability():
+    with pytest.raises(DomainError):
+        cl.BernoulliMeasure([NAN, 1.0])
+
+
+def test_markov_measure_rejects_nan_probability():
+    with pytest.raises(DomainError):
+        cl.MarkovMeasure([[NAN, 1.0], [0.5, 0.5]])
 
 
 def _scaled_power_log_norm(A: np.ndarray, n: int) -> float:

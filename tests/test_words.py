@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cocyclelab as cl
+from cocyclelab import words
 from cocyclelab.errors import (
     CapacityError,
     DomainError,
@@ -70,6 +71,67 @@ def _rebuild_kwargs(src):
 def test_markov_rows_must_be_stochastic():
     with pytest.raises(DomainError):
         cl.MarkovSource([[0.5, 0.4], [0.5, 0.5]], [0.5, 0.5], seed=1)
+
+
+def test_bernoulli_source_rejects_nan_probability():
+    with pytest.raises(DomainError):
+        cl.BernoulliSource([float("nan"), 1.0], 1)
+    with pytest.raises(DomainError):
+        cl.BernoulliSource([float("inf"), 0.0], 1)
+
+
+def test_markov_source_rejects_nan_probability():
+    with pytest.raises(DomainError):
+        cl.MarkovSource([[float("nan"), 1.0], [0.5, 0.5]], [0.5, 0.5], 1)
+    with pytest.raises(DomainError):
+        cl.MarkovSource([[0.5, 0.5], [0.5, 0.5]], [float("nan"), 1.0], 1)
+
+
+def _bernoulli():
+    return cl.BernoulliSource([0.3, 0.7], seed=11)
+
+
+def _markov():
+    return cl.MarkovSource([[0.1, 0.6, 0.3], [0.5, 0.5, 0.0], [0.2, 0.2, 0.6]],
+                           [0.2, 0.3, 0.5], seed=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([_bernoulli, _markov]), st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+def test_sampler_prefixes_match_a_fresh_source(make, lengths):
+    src = make()
+    for n in lengths:
+        assert src.prefix(n) == make().prefix(n)
+
+
+@pytest.mark.parametrize("make", [_bernoulli, _markov])
+def test_growing_sampler_prefix_is_drawn_log_times(make):
+    src, calls = make(), []
+    draw = src._materialize
+    src._materialize = lambda n: calls.append(n) or draw(n)
+    for n in range(1, 2049):
+        assert len(src.prefix(n)) == n
+        assert len(calls) <= n.bit_length()  # floor(log2 n) + 1
+
+
+def test_sieve_and_block_schedules_materialize_exact_lengths():
+    # one symbol past what is asked would pass the sieve's capacity or
+    # reach a block that cannot be built
+    sieve = cl.SquarefreeSource(capacity=64)
+    for n in range(1, 65):
+        sieve.prefix(n)
+
+    def block(j):
+        if j > 3:
+            raise InvalidProgramError(f"block {j} cannot be built")
+        return np.full(j, j % 2, dtype=np.uint8)
+
+    blocks = cl.BlockScheduleSource(words.BlockProgram(A2, np.empty(0, np.uint8), block))
+    for n in range(1, 7):
+        blocks.prefix(n)
+    assert blocks.prefix(6).to_text() == "100111"
+    with pytest.raises(InvalidProgramError):
+        blocks.prefix(7)
 
 
 def test_substitution_fixed_point_requirements():
