@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +34,7 @@ from .words import (
     _probabilities,
     _read_symbols,
     _texts,
+    empirical_frequency,
 )
 
 _NEG_INF = float("-inf")
@@ -54,8 +55,7 @@ class CocycleSpec:
     through `_factor_table`; `matrices` is built on first access.
     """
 
-    def __init__(self, alphabet: Alphabet, depth: int, table: Mapping, default=None,
-                 declared_ell0: int | None = None):
+    def __init__(self, alphabet: Alphabet, depth: int, table: Mapping, default=None):
         if depth < 1:
             raise DomainError("cocycle depth must be >= 1")
         self.alphabet = alphabet
@@ -84,7 +84,6 @@ class CocycleSpec:
         self.dim = stack.shape[1]
         self.entry_floor = float(positive.min())  # the uniform lower bound b
         self.a_upper = float(used.max())
-        self.declared_ell0 = declared_ell0
         full = np.empty((count, self.dim, self.dim))
         if fill:
             full[:] = stack[-1]
@@ -98,16 +97,10 @@ class CocycleSpec:
 
     @property
     def matrices(self) -> list[NonNegMatrix]:
-        """The matrix of every depth-r word, in `word_index` order."""
+        """The matrix of every depth-r word, in `factor_indices` order."""
         if self._matrices is None:
             self._matrices = [NonNegMatrix(entries) for entries in self._stack]
         return self._matrices
-
-    def word_index(self, symbols: np.ndarray) -> int:
-        idx = 0
-        for s in symbols[: self.depth]:
-            idx = idx * self.alphabet.size + int(s)
-        return idx
 
     def evaluate(self, window: FiniteWord) -> NonNegMatrix:
         """Matrix attached to the first depth-r symbols of the window."""
@@ -116,7 +109,7 @@ class CocycleSpec:
                 f"window of length {len(window)} shorter than depth {self.depth}",
                 required=self.depth,
             )
-        return self.matrices[self.word_index(window.symbols)]
+        return self.matrices[int(self.factor_indices(window.symbols, 0, 1)[0])]
 
     def factor_indices(self, symbols: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Table indices of the factors at positions start..stop-1 (of each
@@ -144,8 +137,6 @@ class CocycleSpec:
         }
         if self._default is not None:
             d["default"] = self._default.tolist()
-        if self.declared_ell0 is not None:
-            d["declared_ell0"] = self.declared_ell0
         return d
 
     @classmethod
@@ -155,20 +146,17 @@ class CocycleSpec:
             int(d["depth"]),
             dict(d["matrices"]),
             default=d.get("default"),
-            declared_ell0=d.get("declared_ell0"),
         )
 
 
 def _key_symbols(keys: list, alphabet: Alphabet, depth: int) -> np.ndarray:
     """The (K, depth) symbols of the table keys, each read by the word-text
-    parser, all checked against the byte range and the alphabet at once."""
+    parser, all checked against the alphabet at once."""
     rows = [_read_symbols(key, alphabet) for key in keys]
     for key, row in zip(keys, rows):
         if len(row) != depth:
             raise DomainError(f"table key {key!r} does not have depth {depth}")
-    words = _as_symbol_array(np.array(rows), alphabet).reshape(len(keys), depth)
-    alphabet.validate(words)
-    return words
+    return _as_symbol_array(np.array(rows), alphabet).reshape(len(keys), depth)
 
 
 def _entry_stack(values: list) -> np.ndarray:
@@ -207,16 +195,20 @@ class _FactorTable(NamedTuple):
 
 def _factor_table(factors: np.ndarray) -> _FactorTable:
     F, d = factors.shape[:2]
-    stack = np.concatenate([factors, np.eye(d)[None]])
-    sums = stack.sum(axis=(1, 2))
-    sums[sums == 0.0] = 1.0
-    supports = stack > 0
-    units = stack / sums[:, None, None]
-    log_sums = np.log(sums)
-    log_sums[-1] = 0.0  # the identity pad
-    units[-1] = np.eye(d)
+    units = np.concatenate([factors, np.eye(d)[None]])
+    supports = units > 0
+    log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
     return _FactorTable(units, log_sums, supports.astype(float), F,
                         _block_size(float(units[:-1][supports[:-1]].min())), d)
+
+
+def _normalised(P: np.ndarray) -> np.ndarray:
+    """Scale each matrix of the (..., d, d) stack P in place to entry sum 1
+    and return the log sums; a zero matrix stays zero with log sum 0."""
+    s = P.sum(axis=(-2, -1))
+    s[s == 0.0] = 1.0
+    P /= s[..., None, None]
+    return np.log(s)
 
 
 def _block_size(q: float) -> int:
@@ -244,10 +236,7 @@ def _tree(table: _FactorTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     while P.shape[-3] > 1:
         P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
     P = P[..., 0, :, :]
-    s = P.sum(axis=(-2, -1))
-    s[s == 0.0] = 1.0
-    P /= s[..., None, None]
-    return P, table.log_sums[idx].sum(axis=-1) + np.log(s)
+    return P, table.log_sums[idx].sum(axis=-1) + _normalised(P)
 
 
 def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
@@ -262,12 +251,12 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
 
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
-    """Exact step at which the support sup times the factors of block vanishes."""
-    for t, f in enumerate(block, start=start + 1):
-        sup = np.minimum(np.matmul(sup, table.supports[f]), 1.0)
-        if not sup.any():
-            return t
-    raise AssertionError("block support vanished but no factor zeroed it")
+    """Exact step at which the support sup times the factors of block
+    vanishes, read from the block's factor-by-factor support prefix."""
+    live = _support_prefix(sup[None], table.supports[block][None])[0].any(axis=(-2, -1))
+    if live.all():
+        raise AssertionError("block support vanished but no factor zeroed it")
+    return start + 1 + int(np.argmin(live))
 
 
 def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = ()):
@@ -578,6 +567,8 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
     """
     if max_ell < 1:
         raise DomainError("max_ell must be >= 1")
+    if start < 0:
+        raise DomainError("start must be non-negative")
     r, m, d = spec.depth, spec.alphabet.size, spec.dim
     arr = sample_prefix.symbols
     supports = spec._table.supports
@@ -644,10 +635,6 @@ class MeasureModel(ABC):
     @abstractmethod
     def cylinder_mass(self, word: FiniteWord) -> float: ...
 
-    @property
-    def is_atomic(self) -> bool:
-        return False
-
 
 class BernoulliMeasure(MeasureModel):
     def __init__(self, probabilities):
@@ -673,9 +660,9 @@ class MarkovMeasure(MeasureModel):
         self.alphabet = Alphabet(P.shape[0])
         if stationary is None:
             stationary = _stationary_vector(P)
-        self.stationary = np.asarray(stationary, dtype=float)
-        if abs(self.stationary.sum() - 1.0) > 1e-9:
-            raise DomainError("stationary vector must sum to 1")
+        self.stationary = _probabilities(stationary)
+        if self.stationary.shape != (P.shape[0],):
+            raise DomainError("need one stationary probability per state")
 
     def cylinder_mass(self, word: FiniteWord) -> float:
         syms = word.symbols
@@ -719,10 +706,6 @@ class PeriodicAtomicMeasure(MeasureModel):
             raise DomainError("cycle must be nonempty")
         self.cycle = cycle
         self.alphabet = cycle.alphabet
-
-    @property
-    def is_atomic(self) -> bool:
-        return True
 
     @property
     def period(self) -> int:
@@ -793,8 +776,6 @@ def frequency_deviations(prefix: FiniteWord, measure: MeasureModel,
     Small deviations are evidence, not proof, that the prefix is typical
     for the model: no finite horizon certifies genericity.
     """
-    from .words import empirical_frequency
-
     out = []
     for w in words:
         out.append((w, empirical_frequency(prefix, w), measure.cylinder_mass(w)))
@@ -816,8 +797,10 @@ class FeketeReport:
     violations: list            # (n, m, excess) where a_{n+m} > a_n + a_m + c_{n^m}
 
 
-def fekete_extrapolate(samples: Sequence[tuple[int, float]], c_of, tol: float = 1e-9) -> FeketeReport:
-    """Diagnose a sequence expected to satisfy a_{n+m} <= a_n + a_m + c_{min(n,m)}.
+def fekete_extrapolate(samples: Sequence[tuple[int, float]], c_of: Callable[[int], float],
+                       tol: float = 1e-9) -> FeketeReport:
+    """Diagnose a sequence expected to satisfy a_{n+m} <= a_n + a_m + c_{min(n,m)},
+    where c_of(k) gives c_k.
 
     The envelope (a_m + |c_m|)/m bounds limsup a_n/n for every m, so its
     running minimum brackets the limit from above; the last ratio serves
@@ -826,31 +809,20 @@ def fekete_extrapolate(samples: Sequence[tuple[int, float]], c_of, tol: float = 
     """
     if len(samples) < 3:
         raise DomainError("need at least 3 sample points")
-    if callable(c_of):
-        cfun = c_of
-    else:
-        table = dict(c_of)
-
-        def cfun(k, _t=table):
-            try:
-                return _t[k]
-            except KeyError:
-                raise DomainError(f"c-bound undefined at {k}") from None
-
     pts = sorted((int(n), float(a)) for n, a in samples)
     ns = np.array([n for n, _ in pts], dtype=np.int64)
     if len(set(ns.tolist())) != len(ns):
         raise DomainError("duplicate sample points")
     a = {n: v for n, v in pts}
     ratios = np.array([a[n] / n for n in ns])
-    envelope = np.array([(a[n] + abs(cfun(n))) / n for n in ns])
+    envelope = np.array([(a[n] + abs(c_of(n))) / n for n in ns])
     running_min = np.minimum.accumulate(envelope)
     violations = []
     for i, n in enumerate(ns):
         for m in ns[i:]:
             total = int(n + m)
             if total in a:
-                bound = a[int(n)] + a[int(m)] + cfun(int(min(n, m)))
+                bound = a[int(n)] + a[int(m)] + c_of(int(min(n, m)))
                 if a[total] > bound + tol:
                     violations.append((int(n), int(m), float(a[total] - bound)))
     return FeketeReport(ns, ratios, envelope, running_min, float(ratios[-1]), violations)

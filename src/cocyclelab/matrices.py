@@ -82,18 +82,6 @@ class NonNegMatrix:
     def is_zero(self) -> bool:
         return not bool(self.support.any())
 
-    @classmethod
-    def identity(cls, d: int) -> "NonNegMatrix":
-        return cls(np.eye(d))
-
-    @classmethod
-    def ones(cls, d: int) -> "NonNegMatrix":
-        return cls(np.ones((d, d)))
-
-    @classmethod
-    def zero(cls, d: int) -> "NonNegMatrix":
-        return cls(np.zeros((d, d)))
-
     def __matmul__(self, other: "NonNegMatrix") -> "NonNegMatrix":
         if not isinstance(other, NonNegMatrix):
             return NotImplemented

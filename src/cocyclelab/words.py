@@ -39,14 +39,6 @@ class Alphabet:
         if not 1 <= self.size <= MAX_ALPHABET:
             raise DomainError(f"alphabet size must be in 1..{MAX_ALPHABET}, got {self.size}")
 
-    def validate(self, symbols: np.ndarray) -> None:
-        if symbols.size and int(symbols.max(initial=0)) >= self.size:
-            bad = int(symbols.max())
-            raise DomainError(f"symbol {bad} outside alphabet of size {self.size}")
-
-    def word(self, data) -> "FiniteWord":
-        return FiniteWord(data, self)
-
 
 def _texts(rows: np.ndarray, alphabet: Alphabet) -> list[str]:
     """The text of each row of a (K, n) symbol array: one digit per symbol
@@ -71,19 +63,19 @@ def _probabilities(values) -> np.ndarray:
 
 
 def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
-    """data as a flat uint8 symbol array, checked to fit in a byte."""
+    """data as a flat uint8 symbol array, checked against the alphabet
+    before the cast, so no symbol wraps around."""
     arr = _read_symbols(data, alphabet)
-    if arr.dtype != np.uint8 and arr.size:
-        lo, hi = arr.min(), arr.max()
-        if lo < 0 or hi >= MAX_ALPHABET:  # would wrap around in the uint8 cast
-            raise DomainError(f"symbol {lo if lo < 0 else hi} outside 0..{MAX_ALPHABET - 1}")
+    if arr.size:
+        lo, hi = (0 if arr.dtype == np.uint8 else arr.min()), arr.max()
+        if lo < 0 or hi >= alphabet.size:
+            raise DomainError(f"symbol {lo if lo < 0 else hi} outside alphabet of size {alphabet.size}")
     return arr.astype(np.uint8, copy=False)
 
 
 def _read_symbols(data, alphabet: Alphabet) -> np.ndarray:
     """data as a flat array of symbols: a FiniteWord's, text read by the
-    word-text rule, or integers, whose byte range `_as_symbol_array`
-    checks."""
+    word-text rule, or integers, whose range `_as_symbol_array` checks."""
     if isinstance(data, FiniteWord):
         return data.symbols
     if isinstance(data, str):
@@ -110,9 +102,7 @@ class FiniteWord:
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, data, alphabet: Alphabet):
-        arr = _as_symbol_array(data, alphabet)
-        alphabet.validate(arr)
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(_as_symbol_array(data, alphabet))
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
         object.__setattr__(self, "alphabet", alphabet)
@@ -192,10 +182,7 @@ class WordSource(ABC):
         if n < 0:
             raise DomainError("prefix length must be non-negative")
         if n > len(self._cache):
-            arr = np.ascontiguousarray(self._materialize(n), dtype=np.uint8)
-            self.alphabet.validate(arr)
-            arr.setflags(write=False)
-            self._cache = arr
+            self._cache = FiniteWord(self._materialize(n), self.alphabet).symbols
         return FiniteWord(self._cache[:n], self.alphabet)
 
     @abstractmethod
@@ -456,9 +443,7 @@ class EpochSchedule:
     def threshold(self, i: int) -> int:
         if self.kind == "tower":
             return 2 ** (2**i)
-        if self.kind == "geometric":
-            return self.base**i
-        raise DomainError(f"unknown schedule kind {self.kind!r}")
+        return self.base**i
 
     def block_type(self, j: int) -> int:
         if j < 1:

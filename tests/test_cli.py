@@ -135,6 +135,11 @@ def test_check_command(files, tmp_path, capsys):
     assert "witness u=0 ell0=1" in capsys.readouterr().out
 
 
+def test_check_negative_start_exit_3(files):
+    assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
+                 files["tm.source"], "--n", "256", "--start", "-2"]) == 3
+
+
 def test_bad_config_file_exit_2(files, tmp_path):
     broken = tmp_path / "broken.cocycle"
     broken.write_text("cocycle {\n  oops\n}")

@@ -405,6 +405,11 @@ def test_observed_positivity_matches_naive_first_occurrence_scan(seed):
         assert hit.u.symbols.tolist() == want[0].tolist() and hit.ell0 == want[1]
 
 
+def test_positivity_search_rejects_negative_start():
+    with pytest.raises(DomainError, match="start must be non-negative"):
+        cl.check_positivity_condition(positive_spec(), word("0110100110", 2), max_ell=3, start=-2)
+
+
 # --- lambda estimates -------------------------------------------------------
 
 
@@ -486,6 +491,12 @@ def test_measure_samplers_replay_sources():
     assert markov.sample_symbols(n, seed, 0).tobytes() == \
         cl.MarkovSource(markov.transition, markov.stationary, seed).prefix(n).to_bytes()
     assert bern.sample_symbols(n, seed, 1).tobytes() != bern.sample_symbols(n, seed, 0).tobytes()
+
+
+@pytest.mark.parametrize("stationary", [[NAN, 1.0], [-0.5, 1.5], [1.0]])
+def test_markov_measure_rejects_bad_explicit_stationary_vector(stationary):
+    with pytest.raises(DomainError):
+        cl.MarkovMeasure([[0.5, 0.5], [0.5, 0.5]], stationary=stationary)
 
 
 def test_markov_measure_rejects_several_closed_classes():

@@ -97,7 +97,6 @@ def test_cocycle_description_round_trip():
         cl.Alphabet(2), 2,
         {"00": [[1.0, 1.0], [1.0, 0.0]], "01": [[2.0, 1.0], [1.0, 1.0]]},
         default=[[1.0, 1.0], [1.0, 1.0]],
-        declared_ell0=1,
     )
     text = textform.dumps("cocycle", spec.describe())
     name, data = textform.loads(text)
@@ -107,6 +106,12 @@ def test_cocycle_description_round_trip():
         a = spec.evaluate(cl.FiniteWord(w, cl.Alphabet(2)))
         b = rebuilt.evaluate(cl.FiniteWord(w, cl.Alphabet(2)))
         assert np.array_equal(a.entries, b.entries)
+
+
+def test_cocycle_description_with_declared_ell0_key_still_loads():
+    data = {"alphabet": 1, "depth": 1, "matrices": {"0": [[2.0]]}, "declared_ell0": 3}
+    spec = cl.CocycleSpec.from_description(data)
+    assert spec.describe() == {"alphabet": 1, "depth": 1, "matrices": {"0": [[2.0]]}}
 
 
 def test_weighted_average_round_trip():

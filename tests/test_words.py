@@ -444,6 +444,34 @@ def test_integer_symbols_outside_byte_range_are_rejected():
     assert cl.FiniteWord([59, 0], a60).symbols.tolist() == [59, 0]
 
 
+def test_byte_symbols_outside_alphabet_are_rejected():
+    with pytest.raises(DomainError, match="symbol 7 outside alphabet of size 3"):
+        cl.FiniteWord(np.array([0, 7, 1], dtype=np.uint8), cl.Alphabet(3))
+
+
+class _StrayStream(cl.WordSource):
+    """Emits the symbol 2, outside its two-letter alphabet."""
+
+    def __init__(self):
+        super().__init__(A2)
+        self.calls = 0
+
+    def _materialize(self, n):
+        self.calls += 1
+        return np.full(n, 2, dtype=np.uint8)
+
+    def describe(self):
+        return {}
+
+
+def test_source_emitting_outside_its_alphabet_raises_and_keeps_no_cache():
+    src = _StrayStream()
+    for calls in (1, 2):
+        with pytest.raises(DomainError, match="outside alphabet"):
+            src.prefix(5)
+        assert src.calls == calls and len(src._cache) == 0
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_markov_sampler_matches_per_symbol_walk(m):
     rng = np.random.default_rng(m)
