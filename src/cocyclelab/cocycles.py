@@ -183,7 +183,7 @@ class _FactorTable(NamedTuple):
     """Product-kernel state of a (F, d, d) factor stack: every factor at
     entry sum 1 with its log sum and exact support (0/1 floats), an
     identity slot at index pad = F that pads short rows, and the block
-    size B that the smallest normalised entry fixes."""
+    size B that the smallest normalised entry and the dimension fix."""
 
     units: np.ndarray
     log_sums: np.ndarray
@@ -199,7 +199,7 @@ def _factor_table(factors: np.ndarray) -> _FactorTable:
     supports = units > 0
     log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
     return _FactorTable(units, log_sums, supports.astype(float), F,
-                        _block_size(float(units[:-1][supports[:-1]].min())), d)
+                        _block_size(float(units[:-1][supports[:-1]].min()), d), d)
 
 
 def _normalised(P: np.ndarray) -> np.ndarray:
@@ -211,12 +211,14 @@ def _normalised(P: np.ndarray) -> np.ndarray:
     return np.log(s)
 
 
-def _block_size(q: float) -> int:
-    """Largest power of two B <= 64 with q^B >= _TINY: a product of at most
-    B sum-1 factors keeps every structurally positive entry at or above
-    q^B, far from float underflow, so inside a block `> 0` is exact."""
+def _block_size(q: float, d: int) -> int:
+    """Largest power of two B with q^B >= _TINY whose d x d factors fit
+    the gather budget (8Bd^2 <= _GATHER_BYTES), and at least 1: a product
+    of at most B sum-1 factors keeps every structurally positive entry at
+    or above q^B, far from float underflow, so inside a block `> 0` is
+    exact, and one row's block is gathered in one piece."""
     b = 1
-    while b < 64 and 2 * b * math.log(q) >= math.log(_TINY):
+    while 16 * b * d * d <= _GATHER_BYTES and 2 * b * math.log(q) >= math.log(_TINY):
         b *= 2
     return b
 
@@ -226,17 +228,36 @@ def _ceil_pow2(n):
     return np.left_shift(1, np.ceil(np.log2(np.maximum(n, 1))).astype(np.int64))
 
 
-def _tree(table: _FactorTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products of the factor blocks idx[..., :] (B a power of two), reduced
-    pairwise, as units of entry sum 1 and their log scales. A raw product
-    of at most B sum-1 factors has sum <= 1 and every structurally positive
+def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.ndarray):
+    """Products of the factor blocks idx (R, K, B), B a power of two,
+    reduced pairwise, as units of entry sum 1 and their log scales; and
+    the raw products of the first offsets[j] (1..B) factors of block
+    blocks[j], with their log scales (running sums of the factors' log
+    sums). A prefix of o factors is read from the dyadic pieces while
+    the levels form: for each set bit l of o, piece (o >> l) - 1 of level
+    l multiplies it on the left, so no level is kept. A raw product of
+    at most B sum-1 factors has sum <= 1 and every structurally positive
     entry >= q^B, so it needs no renormalisation before the block's end.
     A structurally zero block has unit 0."""
-    P = table.units[idx]
-    while P.shape[-3] > 1:
-        P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
+    R, _, B = idx.shape
+    d, levels = table.dim, B.bit_length()
+    P, S = table.units[idx], table.log_sums[idx]
+    eye = np.eye(d)
+    heads, head_logs = np.broadcast_to(eye, (R, len(blocks), d, d)), np.zeros((R, 0))
+    if len(blocks):
+        # per level l and prefix length o: the flat index of piece (o >> l) - 1, and bit l of o
+        shifts = offsets >> np.arange(levels)[:, None]
+        flat = blocks * (B >> np.arange(levels))[:, None] + np.maximum(shifts - 1, 0)
+        odd = (shifts & 1 == 1)[..., None, None]
+        head_logs = np.cumsum(S, axis=-1)[:, blocks, offsets - 1]
+    for level in range(levels):
+        if len(blocks):
+            pieces = P.reshape(R, -1, d, d)[:, flat[level]]
+            heads = np.matmul(np.where(odd[level], pieces, eye), heads)
+        if level < levels - 1:
+            P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
     P = P[..., 0, :, :]
-    return P, table.log_sums[idx].sum(axis=-1) + _normalised(P)
+    return P, S.sum(axis=-1) + _normalised(P), heads, head_logs
 
 
 def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
@@ -251,34 +272,48 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
 
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
-    """Exact step at which the support sup times the factors of block
-    vanishes, read from the block's factor-by-factor support prefix."""
-    live = _support_prefix(sup[None], table.supports[block][None])[0].any(axis=(-2, -1))
-    if live.all():
+    """Exact step at which the support sup times the factors of block (a
+    power of two of them) vanishes: a descent through the block's
+    pairwise support products that takes the left half's support into
+    sup wherever sup times it lives, and else goes left."""
+    levels = [table.supports[block]]
+    while len(levels[-1]) > 1:
+        S = levels[-1]
+        levels.append(np.minimum(np.matmul(S[0::2], S[1::2]), 1.0))
+    if np.matmul(sup, levels[-1][0]).any():
         raise AssertionError("block support vanished but no factor zeroed it")
-    return start + 1 + int(np.argmin(live))
+    i = 0
+    for S in reversed(levels[:-1]):
+        left = np.minimum(np.matmul(sup, S[2 * i]), 1.0)
+        i *= 2
+        if left.any():
+            sup, i = left, i + 1
+    return start + 1 + i
 
 
 def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = ()):
     """Products of the factor rows (R, n) of table indices, one per row.
 
-    Each row is cut into blocks of B factors and at every checkpoint; the
-    blocks are reduced by `_tree` and scanned in order, vectorised across
-    rows, with the running support an exact boolean product. Returns
-    (values, zero, unit, log_scale, support): values[r, i] is the log
-    entry-sum norm after checkpoints[i] factors (-inf from the first
-    structural zero on), zero[r] that first zero (0 if none), and
+    Each row is padded with the identity slot to whole blocks of B
+    factors; the blocks are reduced by `_tree` and chained in order,
+    vectorised across rows, with the running support an exact boolean
+    product, so a row takes ceil(n/B) chain steps whatever the
+    checkpoints. Returns (values, zero, unit, log_scale, support):
+    values[r, i] is the log entry-sum norm after checkpoints[i] factors
+    (increasing, in 1..n), read as the chained unit before its block
+    times the block's prefix up to it (-inf from the first structural
+    zero on), zero[r] that first zero (0 if none), and
     exp(log_scale) * unit the product with its exact support. Batches of
     many rows are sized by `_reduce_groups`.
     """
     R, n = rows.shape
     d = table.dim
     B = _row_block(table, n)
+    count = -(-n // B)
+    blocks = np.concatenate([rows, np.full((R, count * B - n), table.pad)], axis=1)
+    blocks = blocks.reshape(R, count, B)
     cps = np.asarray(checkpoints, dtype=np.int64)
-    bounds = np.append(np.arange(0, n, B), n)
-    if len(cps):
-        bounds = np.union1d(bounds, cps)
-    padded = np.concatenate([rows, np.full((R, 1), table.pad)], axis=1)
+    cp_block = (cps - 1) // B
 
     values = np.full((R, len(cps)), _NEG_INF)
     zero = np.zeros(R, dtype=np.int64)
@@ -286,47 +321,53 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     sup = unit.copy()  # 0/1 floats: the exact running support
     acc = np.zeros(R)
     chunk = max(1, _GATHER_BYTES // (R * B * d * d * 8))
-    for j0 in range(0, len(bounds) - 1, chunk):
+    for j0 in range(0, count, chunk):
         alive = zero == 0
         if not alive.any():
             break
-        lo, hi = bounds[:-1][j0 : j0 + chunk], bounds[1:][j0 : j0 + chunk]
-        # blocks cut short by a checkpoint are padded to their own power of two
-        widths = _ceil_pow2(hi - lo)
-        units, logs = np.empty((R, len(lo), d, d)), np.empty((R, len(lo)))
-        for w in np.unique(widths):
-            sel = np.flatnonzero(widths == w)
-            pos = lo[sel, None] + np.arange(w)
-            units[:, sel], logs[:, sel] = _tree(table, padded[:, np.where(pos < hi[sel, None], pos, n)])
+        j1 = min(count, j0 + chunk)
+        c0, c1 = np.searchsorted(cp_block, [j0, j1])
+        here = cps[c0:c1]
+        k_cp = cp_block[c0:c1] - j0
+        units, logs, heads, head_logs = _tree(table, blocks[:, j0:j1], k_cp,
+                                              here - (k_cp + j0) * B)
         sups = _support_prefix(sup, (units > 0).astype(float))
         live = sups.any(axis=(-2, -1))  # per row, a run of True then False
+        chain = np.empty((j1 - j0 + 1, R, d, d))  # the unit before each block, and after the last
+        chain[0] = unit
         sums = np.empty_like(logs)
         # a dead row's float product is exactly zero, and nan once divided
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, U in enumerate(units.swapaxes(0, 1)):
-                unit = np.matmul(unit, U)
-                sums[:, k] = s = unit.sum(axis=(1, 2))
-                unit /= s[:, None, None]
+            for k in range(j1 - j0):
+                np.matmul(chain[k], units[:, k], out=chain[k + 1])
+                sums[:, k] = s = chain[k + 1].sum(axis=(1, 2))
+                chain[k + 1] /= s[:, None, None]
             steps = np.cumsum(logs + np.log(sums), axis=1) + acc[:, None]
-        bad = live & ~((sums > 0.0) & (sums < math.inf))
-        if bad.any():
-            r, k = np.argwhere(bad)[0]
-            if sums[r, k] == 0.0:
-                raise UnderflowError_(
-                    "entry-sum collapsed on a structurally nonzero product",
-                    position=int(hi[k]),
-                )
-            raise RangeError("cocycle product overflowed; rescale the table")
+            if len(here):
+                head_sums = np.matmul(chain[k_cp].swapaxes(0, 1), heads).sum(axis=(-2, -1))
+                head_values = (np.concatenate([acc[:, None], steps], axis=1)[:, k_cp]
+                               + head_logs + np.log(head_sums))
         for r in np.flatnonzero(alive & ~live[:, -1]):
             k = int(np.argmin(live[r]))
-            zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r], rows[r, lo[k] : hi[k]],
-                                  int(lo[k]))
-        if len(cps):
-            at = np.searchsorted(cps, hi)
-            for k in np.flatnonzero(cps[np.minimum(at, len(cps) - 1)] == hi):
-                values[:, at[k]] = np.where(live[:, k], steps[:, k], _NEG_INF)
-        acc = steps[:, -1]
-        sup = sups[:, -1]
+            zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r], blocks[r, j0 + k],
+                                  (j0 + k) * B)
+        ends = np.minimum(np.arange(j0 + 1, j1 + 1) * B, n)
+        if len(here):
+            head_live = (zero == 0)[:, None] | (here < zero[:, None])
+            values[:, c0:c1] = np.where(head_live, head_values, _NEG_INF)
+            sums = np.concatenate([sums, head_sums], axis=1)
+            live = np.concatenate([live, head_live], axis=1)
+            ends = np.concatenate([ends, here])
+        # the live product, block or checkpoint prefix, of earliest end whose sum is off
+        bad = live & ~((sums > 0.0) & (sums < math.inf))
+        if bad.any():
+            r, k = np.nonzero(bad)
+            first = np.argmin(ends[k])
+            if sums[r[first], k[first]] == 0.0:
+                raise UnderflowError_("entry-sum collapsed on a structurally nonzero product",
+                                      position=int(ends[k[first]]))
+            raise RangeError("cocycle product overflowed; rescale the table")
+        acc, sup, unit = steps[:, -1], sups[:, -1], chain[-1]
     unit[zero > 0] = 0.0
     return values, zero, unit, acc, sup
 

@@ -63,10 +63,15 @@ def _probabilities(values) -> np.ndarray:
 
 
 def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
-    """data as a flat uint8 symbol array, checked against the alphabet
-    before the cast, so no symbol wraps around."""
+    """data as a flat uint8 symbol array, checked to be integers within
+    the alphabet before the cast, so no symbol is truncated or wraps
+    around."""
     arr = _read_symbols(data, alphabet)
     if arr.size:
+        if arr.dtype.kind not in "biu":
+            off = ~np.isfinite(arr) | (arr != np.trunc(arr))
+            if off.any():
+                raise DomainError(f"symbol {arr[off][0]} is not an integer")
         lo, hi = (0 if arr.dtype == np.uint8 else arr.min()), arr.max()
         if lo < 0 or hi >= alphabet.size:
             raise DomainError(f"symbol {lo if lo < 0 else hi} outside alphabet of size {alphabet.size}")

@@ -1,9 +1,11 @@
 """Contracts of the blocked product kernel: exact first zeros wherever they
-fall against the block grid, checkpoints on and off block edges, entry
-ranges that shrink the block to one factor, dense d = 16 tables, batches
-that mix zero and nonzero rows, 60-digit fidelity, and thread safety."""
+fall against the block grid, checkpoints on and off block edges and at
+every position, entry ranges that shrink the block to one factor, the
+block-size rule, dense d = 16 tables, batches that mix zero and nonzero
+rows, 60-digit fidelity, a memory bound, and thread safety."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -114,6 +116,71 @@ def test_entry_sum_collapse_raises_underflow():
     probe = cl.CocycleSpec(cl.Alphabet(1), 1, {"0": np.diag([1.0, 1e-200])})
     with pytest.raises(UnderflowError_):
         cl.partial_product(probe, cl.FiniteWord("00", cl.Alphabet(1)), 0, 2).unit_matrix
+
+
+def test_block_size_from_entry_floor_and_gather_budget():
+    budget = cocycles._GATHER_BYTES
+    assert cocycles._block_size(0.5, 2) == 512  # 0.5^1024 < 1e-300 <= 0.5^512
+    for d in (2, 3, 16):
+        B = cocycles._block_size(1.0, d)  # no floor: the budget alone
+        assert B & (B - 1) == 0 and 8 * B * d * d <= budget < 16 * B * d * d
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("variant", ["dense", "nilpotent"])
+def test_checkpoint_at_every_position(rng, d, variant):
+    # letters 0 and 1 are positive, letter 2 strictly upper triangular:
+    # d of them in a row give zero, here completed mid-block
+    spec = cl.CocycleSpec(A3, 1, {"0": random_positive(rng, d, 1.0, 2.0),
+                                  "1": random_positive(rng, d, 1.0, 2.0),
+                                  "2": np.triu(random_positive(rng, d, 1.0, 2.0), k=1)})
+    B = spec._table.block
+    assert B >= (256 if d == 2 else 64)
+    n = 3 * B + 5
+    syms = cl.BernoulliSource([0.5, 0.5], seed=d).prefix(n).symbols.copy()
+    t = B + B // 2 + 3 if variant == "nilpotent" else None
+    if t:
+        syms[t - d : t] = 2
+    assert naive_first_zero(spec, syms, n) == t
+    cps = np.arange(1, n + 1)
+    trace = cl.lyapunov_trace(spec, cl.PeriodicSource(cl.FiniteWord(syms, A3), A3), cps)
+    assert trace.zero_index == t
+    live = n if t is None else t - 1
+    np.testing.assert_allclose(trace.values[:live],
+                               stepwise_log_norms(spec, syms, range(1, live + 1)), rtol=1e-12)
+    assert np.all(np.isneginf(trace.values[live:]))
+
+
+def test_entry_sum_collapse_inside_a_checkpoint_prefix():
+    # after two blocks of "0" (B = 256) the running unit's (1, 1) entry is
+    # about 1e-512, structurally nonzero but a float zero; the projection
+    # "1", factor 522 and ten factors into the third block, leaves nothing
+    spec = cl.CocycleSpec(A2, 1, {"0": np.diag([1.0, 0.1]), "1": np.diag([0.0, 1.0])})
+    assert spec._table.block == 256
+    syms = np.zeros(600, dtype=np.uint8)
+    syms[521] = 1
+    source = cl.PeriodicSource(cl.FiniteWord(syms, A2), A2)
+    with pytest.raises(UnderflowError_) as err:
+        cl.lyapunov_trace(spec, source, [100, 522, 600])
+    assert err.value.position == 522
+    # without a checkpoint there, at the end of the (padded) block
+    with pytest.raises(UnderflowError_) as err:
+        cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, 600)
+    assert err.value.position == 600
+
+
+def test_trace_memory_stays_within_two_gather_budgets(rng):
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 16), "1": random_positive(rng, 16)})
+    n = 10_000
+    cps = cl.geometric_checkpoints(8, n)
+    source = cl.BernoulliSource([0.5, 0.5], seed=9)
+    tracemalloc.start()
+    try:
+        cl.lyapunov_trace(spec, source, cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cocycles._GATHER_BYTES
 
 
 @pytest.mark.parametrize("second", ["dense", "nilpotent"])

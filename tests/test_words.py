@@ -444,6 +444,16 @@ def test_integer_symbols_outside_byte_range_are_rejected():
     assert cl.FiniteWord([59, 0], a60).symbols.tolist() == [59, 0]
 
 
+@pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf")])
+def test_non_integral_symbols_are_rejected(bad, shown):
+    with pytest.raises(DomainError, match=f"symbol {shown} is not an integer"):
+        cl.FiniteWord(np.array([1.0, bad]), A2)
+
+
+def test_integral_float_symbols_are_accepted():
+    assert cl.FiniteWord([0.0, 1.0], A2).symbols.tolist() == [0, 1]
+
+
 def test_byte_symbols_outside_alphabet_are_rejected():
     with pytest.raises(DomainError, match="symbol 7 outside alphabet of size 3"):
         cl.FiniteWord(np.array([0, 7, 1], dtype=np.uint8), cl.Alphabet(3))
