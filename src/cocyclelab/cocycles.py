@@ -212,13 +212,16 @@ def _normalised(P: np.ndarray) -> np.ndarray:
 
 
 def _block_size(q: float, d: int) -> int:
-    """Largest power of two B with q^B >= _TINY whose d x d factors fit
-    the gather budget (8Bd^2 <= _GATHER_BYTES), and at least 1: a product
-    of at most B sum-1 factors keeps every structurally positive entry at
+    """Largest power of two B with q^B >= _TINY whose d x d supports and
+    their log2(B) doubling steps fit the gather budget
+    (8Bd^2 (log2(B) + 1) <= _GATHER_BYTES), and at least 1: a product of
+    at most B sum-1 factors keeps every structurally positive entry at
     or above q^B, far from float underflow, so inside a block `> 0` is
-    exact, and one row's block is gathered in one piece."""
+    exact, one row's block is gathered in one piece, and `_first_zero`'s
+    support prefix of a dying block stays within the same budget."""
     b = 1
-    while 16 * b * d * d <= _GATHER_BYTES and 2 * b * math.log(q) >= math.log(_TINY):
+    while (16 * b * d * d * (2 * b).bit_length() <= _GATHER_BYTES
+           and 2 * b * math.log(q) >= math.log(_TINY)):
         b *= 2
     return b
 
@@ -231,14 +234,13 @@ def _ceil_pow2(n):
 def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.ndarray):
     """Products of the factor blocks idx (R, K, B), B a power of two,
     reduced pairwise, as units of entry sum 1 and their log scales; and
-    the raw products of the first offsets[j] (1..B) factors of block
-    blocks[j], with their log scales (running sums of the factors' log
-    sums). A prefix of o factors is read from the dyadic pieces while
+    likewise the products of the first offsets[j] (1..B) factors of block
+    blocks[j]. A prefix of o factors is read from the dyadic pieces while
     the levels form: for each set bit l of o, piece (o >> l) - 1 of level
     l multiplies it on the left, so no level is kept. A raw product of
     at most B sum-1 factors has sum <= 1 and every structurally positive
-    entry >= q^B, so it needs no renormalisation before the block's end.
-    A structurally zero block has unit 0."""
+    entry >= q^B, so it needs no renormalisation before it is complete.
+    A structurally zero product has unit 0."""
     R, _, B = idx.shape
     d, levels = table.dim, B.bit_length()
     P, S = table.units[idx], table.log_sums[idx]
@@ -256,6 +258,8 @@ def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.
             heads = np.matmul(np.where(odd[level], pieces, eye), heads)
         if level < levels - 1:
             P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
+    if len(blocks):
+        head_logs = head_logs + _normalised(heads)
     P = P[..., 0, :, :]
     return P, S.sum(axis=-1) + _normalised(P), heads, head_logs
 
@@ -272,23 +276,12 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
 
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
-    """Exact step at which the support sup times the factors of block (a
-    power of two of them) vanishes: a descent through the block's
-    pairwise support products that takes the left half's support into
-    sup wherever sup times it lives, and else goes left."""
-    levels = [table.supports[block]]
-    while len(levels[-1]) > 1:
-        S = levels[-1]
-        levels.append(np.minimum(np.matmul(S[0::2], S[1::2]), 1.0))
-    if np.matmul(sup, levels[-1][0]).any():
+    """Exact step at which the support sup times the factors of block
+    vanishes, read from the block's factor-by-factor support prefix."""
+    live = _support_prefix(sup[None], table.supports[block][None])[0].any(axis=(-2, -1))
+    if live.all():
         raise AssertionError("block support vanished but no factor zeroed it")
-    i = 0
-    for S in reversed(levels[:-1]):
-        left = np.minimum(np.matmul(sup, S[2 * i]), 1.0)
-        i *= 2
-        if left.any():
-            sup, i = left, i + 1
-    return start + 1 + i
+    return start + 1 + int(np.argmin(live))
 
 
 def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = ()):

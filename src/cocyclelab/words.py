@@ -68,7 +68,7 @@ def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
     around."""
     arr = _read_symbols(data, alphabet)
     if arr.size:
-        if arr.dtype.kind not in "biu":
+        if arr.dtype.kind == "f":
             off = ~np.isfinite(arr) | (arr != np.trunc(arr))
             if off.any():
                 raise DomainError(f"symbol {arr[off][0]} is not an integer")

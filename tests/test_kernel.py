@@ -121,9 +121,14 @@ def test_entry_sum_collapse_raises_underflow():
 def test_block_size_from_entry_floor_and_gather_budget():
     budget = cocycles._GATHER_BYTES
     assert cocycles._block_size(0.5, 2) == 512  # 0.5^1024 < 1e-300 <= 0.5^512
+    def support_prefix_bytes(B, d):  # a block's supports and their doubling steps
+        return 8 * B * d * d * B.bit_length()
+
     for d in (2, 3, 16):
         B = cocycles._block_size(1.0, d)  # no floor: the budget alone
-        assert B & (B - 1) == 0 and 8 * B * d * d <= budget < 16 * B * d * d
+        assert B & (B - 1) == 0
+        assert support_prefix_bytes(B, d) <= budget < support_prefix_bytes(2 * B, d)
+    assert cocycles._block_size(1.0, 2) == 2048
 
 
 @pytest.mark.parametrize("d", [2, 16])
@@ -167,6 +172,21 @@ def test_entry_sum_collapse_inside_a_checkpoint_prefix():
     with pytest.raises(UnderflowError_) as err:
         cl.partial_product(spec, cl.FiniteWord(syms, A2), 0, 600)
     assert err.value.position == 600
+
+
+def test_checkpoint_prefix_after_a_tiny_unit_keeps_its_range():
+    # after block 0 (B = 256) the running unit is about diag(1, 1e-256);
+    # the raw prefixes of block 1 at the checkpoints have entry sums near
+    # 3e-63 and 7e-105, so their products with that unit are subnormal or
+    # zero unless the prefixes are normalised first
+    spec = cl.CocycleSpec(A2, 1, {"0": np.diag([1.0, 0.1]), "1": np.diag([0.0, 1.0])})
+    assert spec._table.block == 256
+    syms = np.zeros(400, dtype=np.uint8)
+    syms[256] = 1
+    cps = [317, 357]
+    trace = cl.lyapunov_trace(spec, cl.PeriodicSource(cl.FiniteWord(syms, A2), A2), cps)
+    assert trace.zero_index is None
+    np.testing.assert_allclose(trace.values, stepwise_log_norms(spec, syms, cps), rtol=1e-12)
 
 
 def test_trace_memory_stays_within_two_gather_budgets(rng):

@@ -441,6 +441,10 @@ def test_integer_symbols_outside_byte_range_are_rejected():
             cl.FiniteWord(data, a60)
     with pytest.raises(DomainError):
         cl.FiniteWord(np.array([-1]), cl.Alphabet(256))
+    # tokens past 2**64 read as an object array of Python ints
+    for text in ("0 99999999999999999999", "0 18446744073709551616"):
+        with pytest.raises(DomainError, match="outside alphabet of size 60"):
+            cl.FiniteWord(text, a60)
     assert cl.FiniteWord([59, 0], a60).symbols.tolist() == [59, 0]
 
 
