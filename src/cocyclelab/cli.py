@@ -124,7 +124,10 @@ def _cmd_trace(args) -> int:
     spec = _load_cocycle(args.cocycle)
     source = _load_source(args.source)
     if args.checkpoints:
-        cps = [int(tok) for tok in args.checkpoints.split(",")]
+        try:
+            cps = [int(tok) for tok in args.checkpoints.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--checkpoints must be comma-separated integers: {exc}") from exc
     else:
         cps = geometric_checkpoints(args.first_checkpoint, args.horizon).tolist()
     trace = lyapunov_trace(spec, source, cps)

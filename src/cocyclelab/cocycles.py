@@ -24,6 +24,7 @@ from .errors import (
     UnderflowError_,
 )
 from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds, reachability
+from .textform import field
 from .words import (
     Alphabet,
     FiniteWord,
@@ -142,9 +143,9 @@ class CocycleSpec:
     @classmethod
     def from_description(cls, d: Mapping) -> "CocycleSpec":
         return cls(
-            Alphabet(int(d["alphabet"])),
-            int(d["depth"]),
-            dict(d["matrices"]),
+            Alphabet(field(d, "alphabet", int)),
+            field(d, "depth", int),
+            field(d, "matrices", dict),
             default=d.get("default"),
         )
 

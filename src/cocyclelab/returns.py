@@ -32,7 +32,7 @@ from .errors import (
     UnderflowError_,
 )
 from .matrices import elem_constant, spectral_radii
-from .words import FiniteWord, ReturnDecomposition, decompose_returns, occurrences
+from .words import FiniteWord, ReturnDecomposition, decompose_returns, long_word_mass, occurrences
 
 _NEG_INF = float("-inf")
 
@@ -199,7 +199,7 @@ def return_formula_estimate(spec: CocycleSpec, prefix: FiniteWord,
         tau_i=tau_i,
         cutoff=cutoff,
         short_sum=short_sum,
-        long_mass=float(lengths[1:][lengths[1:] > cutoff].sum() / tau_i),
+        long_mass=long_word_mass(decomp, cutoff),
         estimate=short_sum / tau_i,
         correction_band=(i / tau_i) * abs(math.log(selection.c1)),
         mixed_support=mixed,

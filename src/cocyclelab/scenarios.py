@@ -24,6 +24,7 @@ from .cocycles import (
     lyapunov_trace,
 )
 from .errors import ConfigError
+from .textform import typed
 from .returns import return_formula_estimate, select_marker, periodic_exponent
 from .spectrum import WeightedAverageSpec, spectrum_curve, spectrum_to_csv
 from .words import (
@@ -38,7 +39,6 @@ from .words import (
     long_word_mass,
     prefix_doubling_program,
     run_alternation_preset,
-    run_alternation_program,
     triple_growth_program,
     paired_growth_program,
 )
@@ -152,34 +152,29 @@ def _build_thue_morse(config):
 
 def _build_squarefree(config):
     return {
-        "source": SquarefreeSource(capacity=int(config["capacity"])),
+        "source": SquarefreeSource(capacity=config["capacity"]),
         "cocycle": CocycleSpec(Alphabet(2), 1, _POSITIVE_PAIR),
     }
 
 
 def _build_bernoulli_positive(config):
     return {
-        "source": BernoulliSource([0.5, 0.5], seed=int(config["seed"])),
+        "source": BernoulliSource([0.5, 0.5], seed=config["seed"]),
         "cocycle": CocycleSpec(Alphabet(2), 1, _VARIED_PAIR),
         "measure": BernoulliMeasure([0.5, 0.5]),
     }
 
 
-def _nolimit_cocycle():
-    return CocycleSpec(
-        Alphabet(4), 1, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES}
-    )
-
-
 def _build_nolimit(config):
-    base = BernoulliSource([0.5, 0.5], seed=int(config["seed"]))
-    schedule = EpochSchedule(kind=config["schedule"], base=int(config["schedule_base"]))
+    base = BernoulliSource([0.5, 0.5], seed=config["seed"])
+    schedule = EpochSchedule(kind=config["schedule"], base=config["schedule_base"])
     program = prefix_doubling_program(base, schedule, head=(3,), type2_suffix=2, alphabet_size=4)
-    return {"source": BlockScheduleSource(program), "cocycle": _nolimit_cocycle()}
+    spec = CocycleSpec(Alphabet(4), 1, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES})
+    return {"source": BlockScheduleSource(program), "cocycle": spec}
 
 
 def _build_nonergodic(config):
-    schedule = EpochSchedule(kind=config["schedule"], base=int(config["schedule_base"]))
+    schedule = EpochSchedule(kind=config["schedule"], base=config["schedule_base"])
     program = triple_growth_program(schedule, alphabet_size=4, swap_symbol=3)
     spec = CocycleSpec(
         Alphabet(4), 1, {"0": _DIAG, "1": _DIAG, "2": _ONES, "3": _SWAP}
@@ -203,28 +198,13 @@ def _fx_cocycle(depth: int) -> CocycleSpec:
 
 
 def _build_fx(config):
-    preset = config["preset"]
-    if preset == "deep":
-        program = run_alternation_preset(
-            int(config["pair_base"]), int(config["run_slope"]), int(config["run_offset"])
-        )
-    elif preset == "shallow":
-        program = run_alternation_program(
-            lambda i: 4**i, lambda i: max(1, math.ceil(math.log2(4**i)))
-        )
-    elif preset == "tower":
-        program = run_alternation_program(lambda i: 2 ** (2 ** (2**i)), lambda i: 2 ** (2**i))
-    else:
-        raise ConfigError(f"unknown fx preset {preset!r}")
-    return {
-        "source": BlockScheduleSource(program),
-        "cocycle": _fx_cocycle(int(config["depth"])),
-    }
+    program = run_alternation_preset(config["pair_base"], config["run_slope"], config["run_offset"])
+    return {"source": BlockScheduleSource(program), "cocycle": _fx_cocycle(config["depth"])}
 
 
 def _build_gap(config):
-    x = BernoulliSource([0.5, 0.5], seed=int(config["seed_x"]))
-    y = BernoulliSource([0.5, 0.5], seed=int(config["seed_y"]))
+    x = BernoulliSource([0.5, 0.5], seed=config["seed_x"])
+    y = BernoulliSource([0.5, 0.5], seed=config["seed_y"])
     program = paired_growth_program(x, y, offset=2, alphabet_size=4)
     return {"source": BlockScheduleSource(program), "marker_base": x}
 
@@ -255,7 +235,7 @@ def _build_nilpotent(config):
 
 
 def _step_trace(parts, config, artifacts, files):
-    cps = geometric_checkpoints(8, int(config["horizon"]))
+    cps = geometric_checkpoints(8, config["horizon"])
     trace = lyapunov_trace(parts["cocycle"], parts["source"], cps)
     artifacts["quantities"].update({
         "exponent_estimate": trace.slope_estimate(),
@@ -273,9 +253,9 @@ def _step_periodic(parts, config, artifacts, files):
 
 def _step_returns(parts, config, artifacts, files):
     spec, source = parts["cocycle"], parts["source"]
-    prefix = source.prefix(int(config["horizon"]) + spec.depth - 1)
-    sel = select_marker(spec, prefix, k0=int(config["k0"]), max_ell=4)
-    est = return_formula_estimate(spec, prefix, sel, cutoff=int(config["cutoff"]))
+    prefix = source.prefix(config["horizon"] + spec.depth - 1)
+    sel = select_marker(spec, prefix, k0=config["k0"], max_ell=4)
+    est = return_formula_estimate(spec, prefix, sel, cutoff=config["cutoff"])
     q = artifacts["quantities"]
     q["return_estimate"] = est.estimate
     q["correction_band"] = est.correction_band
@@ -290,9 +270,9 @@ def _step_lambda(parts, config, artifacts, files):
     est = lambda_estimate(
         parts["cocycle"],
         parts["measure"],
-        n=int(config["lambda_n"]),
-        replicas=int(config["replicas"]),
-        seed=int(config["seed"]) + 1,
+        n=config["lambda_n"],
+        replicas=config["replicas"],
+        seed=config["seed"] + 1,
     )
     q = artifacts["quantities"]
     q["lambda_mean"] = est.mean
@@ -303,9 +283,9 @@ def _step_lambda(parts, config, artifacts, files):
 def _step_check(parts, config, artifacts, files):
     # The head word occurs once and is transient, so scan the observed
     # windows from position 1 when judging the positivity condition.
-    sample = parts["source"].prefix(min(int(config["horizon"]), 100_000))
+    sample = parts["source"].prefix(min(config["horizon"], 100_000))
     hit = check_positivity_condition(
-        parts["cocycle"], sample, max_ell=int(config["max_ell"]), start=1
+        parts["cocycle"], sample, max_ell=config["max_ell"], start=1
     )
     artifacts["quantities"]["positivity_witness"] = (
         None if hit is None else {"u": hit.u.to_text(), "ell0": hit.ell0, "b": hit.b}
@@ -313,15 +293,15 @@ def _step_check(parts, config, artifacts, files):
 
 
 def _step_mass(parts, config, artifacts, files):
-    marker = parts["marker_base"].prefix(int(config["marker_length"]))
+    marker = parts["marker_base"].prefix(config["marker_length"])
     masses = []
     for n in config["horizons"]:
-        decomp = decompose_returns(parts["source"].prefix(int(n)), marker)
-        masses.append(long_word_mass(decomp, int(config["cutoff"])))
+        decomp = decompose_returns(parts["source"].prefix(n), marker)
+        masses.append(long_word_mass(decomp, config["cutoff"]))
     artifacts["quantities"].update({
         "marker": marker.to_text(),
-        "cutoff": int(config["cutoff"]),
-        "horizons": [int(n) for n in config["horizons"]],
+        "cutoff": config["cutoff"],
+        "horizons": config["horizons"],
         "long_mass": masses,
     })
     artifacts["verdict_inputs"] = {
@@ -332,8 +312,8 @@ def _step_mass(parts, config, artifacts, files):
 
 
 def _step_spectrum(parts, config, artifacts, files):
-    betas = np.linspace(config["beta_min"], config["beta_max"], int(config["beta_count"]))
-    points = spectrum_curve(parts["weighted"], betas, horizon=int(config["horizon"]))
+    betas = np.linspace(config["beta_min"], config["beta_max"], config["beta_count"])
+    points = spectrum_curve(parts["weighted"], betas, horizon=config["horizon"])
     errs = []
     dim0 = None
     for pt in points:
@@ -442,7 +422,7 @@ _register(Scenario(
     name="fx-depth-k",
     citation="Rank-one family with entries vanishing near the all-zero word, truncated at finite depth",
     expected="oscillates",
-    defaults={**_TRACE_DEFAULTS, "horizon": 16_500, "depth": 9, "preset": "deep",
+    defaults={**_TRACE_DEFAULTS, "horizon": 16_500, "depth": 9,
               "pair_base": 2, "run_slope": 1, "run_offset": 5},
     build=_build_fx,
     steps=("trace",),
@@ -496,7 +476,11 @@ def resolve_config(name: str, overrides: dict | None = None) -> tuple[Scenario, 
     for key, value in (overrides or {}).items():
         if key not in config:
             raise ConfigError(f"unknown override {key!r} for scenario {name}")
-        config[key] = value
+        # an override takes its default's type, and a list its items' type
+        default = scenario.defaults[key]
+        config[key] = typed(key, value, type(default))
+        if isinstance(default, list):
+            config[key] = [typed(key, item, type(default[0])) for item in config[key]]
     return scenario, config
 
 

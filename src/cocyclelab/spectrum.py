@@ -17,7 +17,8 @@ import numpy as np
 from .cocycles import CocycleSpec, _factor_table, _reduce_groups
 from .errors import DomainError, RangeError
 from .returns import _periodic_exponents
-from .words import Alphabet, PeriodicSource, WordSource
+from .textform import field
+from .words import Alphabet, PeriodicSource, WordSource, source_from_description
 
 _EXP_LIMIT = 700.0  # exp overflows just above this
 _NEG_INF = float("-inf")
@@ -158,10 +159,8 @@ def spectrum_to_csv(points: list[SpectrumPoint]) -> str:
 
 
 def weighted_average_from_description(d) -> WeightedAverageSpec:
-    from .words import source_from_description
-
     return WeightedAverageSpec(
-        np.asarray(d["potential"], dtype=float),
-        np.asarray(d["weights"], dtype=float),
-        source_from_description(d["weight_source"]),
+        field(d, "potential", list),
+        field(d, "weights", list),
+        source_from_description(field(d, "weight_source", dict)),
     )

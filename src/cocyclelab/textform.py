@@ -18,9 +18,29 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 from typing import Mapping
 
 from .errors import ConfigError
+
+
+# what a kind accepts besides its own instances (a bool is never a number)
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, list: (list, tuple)}
+
+
+def typed(key: str, value, kind: type):
+    """value as a `kind`, else ConfigError naming the key: the one type rule
+    for scenario overrides and description fields."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(kind, kind)):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def field(d: Mapping, key: str, kind: type):
+    """d[key] read by `typed`, or ConfigError naming the missing field."""
+    if key not in d:
+        raise ConfigError(f"description has no {key!r} field")
+    return typed(key, d[key], kind)
 
 
 def _emit(data: Mapping, indent: int, lines: list[str]) -> None:

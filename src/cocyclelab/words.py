@@ -20,10 +20,12 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    ConfigError,
     DomainError,
     InvalidProgramError,
     MarkerNotFoundError,
 )
+from .textform import field, typed
 
 MAX_ALPHABET = 256
 _SCAN_BYTES = 1 << 20  # budget for the Markov sampler's step maps
@@ -454,8 +456,6 @@ class EpochSchedule:
         if j < 1:
             raise DomainError("block indices start at 1")
         i = 0
-        if j < self.threshold(0):
-            return 1
         while self.threshold(i + 1) <= j:
             i += 1
         return 1 if i % 2 == 0 else 2
@@ -467,8 +467,8 @@ class EpochSchedule:
         return d
 
     @classmethod
-    def from_description(cls, d: dict) -> "EpochSchedule":
-        return cls(kind=d["kind"], base=int(d.get("base", 4)))
+    def from_description(cls, d: Mapping) -> "EpochSchedule":
+        return cls(kind=field(d, "kind", str), base=typed("base", d.get("base", 4), int))
 
 
 @dataclass(frozen=True)
@@ -476,8 +476,9 @@ class BlockProgram:
     """Finite description of an infinite word: optional head word followed
     by the concatenation of blocks block_fn(1), block_fn(2), ...
 
-    ``description`` is the serializable form; programs built from raw
-    callables carry None and cannot be written to text.
+    ``description`` is the preset description the program was built from
+    (see `_preset_program`); a raw program carries None and cannot be
+    written to text.
     """
 
     alphabet: Alphabet
@@ -500,7 +501,7 @@ def block_schedule_prefix(program: BlockProgram, n: int) -> FiniteWord:
             raise InvalidProgramError(f"block program produced an empty block at index {j}")
         parts.append(block)
         total += block.size
-    return FiniteWord(np.concatenate(parts)[:n] if parts else np.empty(0, np.uint8), program.alphabet)
+    return FiniteWord(np.concatenate(parts)[:n], program.alphabet)
 
 
 class BlockScheduleSource(WordSource):
@@ -531,26 +532,13 @@ def prefix_doubling_program(
 ) -> BlockProgram:
     """Block j emits u_j u_j where u_j is the length-j prefix of the base
     word, with the suffix symbol appended in type-2 epochs."""
-    alphabet = Alphabet(alphabet_size)
-
-    def block(j: int) -> np.ndarray:
-        u = base_source.prefix(j).symbols
-        if schedule.block_type(j) == 2:
-            u = np.concatenate([u, np.array([type2_suffix], dtype=np.uint8)])
-        return np.concatenate([u, u])
-
-    return BlockProgram(
-        alphabet,
-        np.asarray(head, dtype=np.uint8),
-        block,
-        description={
-            "preset": "prefix_doubling",
-            "head": FiniteWord(np.asarray(head, np.uint8), alphabet).to_text(),
-            "type2_suffix": type2_suffix,
-            "schedule": schedule.describe(),
-            "base_source": base_source.describe(),
-        },
-    )
+    return _preset_program(alphabet_size, {
+        "preset": "prefix_doubling",
+        "head": FiniteWord(head, Alphabet(alphabet_size)).to_text(),
+        "type2_suffix": type2_suffix,
+        "schedule": schedule.describe(),
+        "base_source": base_source.describe(),
+    })
 
 
 def paired_growth_program(
@@ -562,25 +550,12 @@ def paired_growth_program(
 ) -> BlockProgram:
     """Alternate growing prefixes of two words on disjoint symbol ranges:
     blocks x_0..x_{n-1} then y_0..y_{n-1} (y shifted by ``offset``)."""
-    alphabet = Alphabet(alphabet_size)
-
-    def block(j: int) -> np.ndarray:
-        n = (j + 1) // 2
-        if j % 2 == 1:
-            return first_source.prefix(n).symbols
-        return second_source.prefix(n).symbols + np.uint8(offset)
-
-    return BlockProgram(
-        alphabet,
-        np.empty(0, dtype=np.uint8),
-        block,
-        description={
-            "preset": "paired_growth",
-            "offset": offset,
-            "first_source": first_source.describe(),
-            "second_source": second_source.describe(),
-        },
-    )
+    return _preset_program(alphabet_size, {
+        "preset": "paired_growth",
+        "offset": offset,
+        "first_source": first_source.describe(),
+        "second_source": second_source.describe(),
+    })
 
 
 def triple_growth_program(
@@ -591,62 +566,90 @@ def triple_growth_program(
 ) -> BlockProgram:
     """Block n emits 0^n 1^n 2^n, with the swap symbol appended to the 0-
     and 1-runs in type-2 epochs."""
-    alphabet = Alphabet(alphabet_size)
-    swap = np.array([swap_symbol], dtype=np.uint8)
-
-    def block(n: int) -> np.ndarray:
-        u = np.zeros(n, dtype=np.uint8)
-        v = np.ones(n, dtype=np.uint8)
-        w = np.full(n, 2, dtype=np.uint8)
-        if schedule.block_type(n) == 2:
-            return np.concatenate([u, swap, v, swap, w])
-        return np.concatenate([u, v, w])
-
-    return BlockProgram(
-        alphabet,
-        np.empty(0, dtype=np.uint8),
-        block,
-        description={
-            "preset": "triple_growth",
-            "swap_symbol": swap_symbol,
-            "schedule": schedule.describe(),
-        },
-    )
-
-
-def run_alternation_program(
-    pair_counts: Callable[[int], int],
-    run_lengths: Callable[[int], int],
-    *,
-    description: dict | None = None,
-) -> BlockProgram:
-    """Block i emits (01)^{pair_counts(i)} followed by 0^{run_lengths(i)}."""
-    alphabet = Alphabet(2)
-
-    def block(i: int) -> np.ndarray:
-        reps, run = pair_counts(i), run_lengths(i)
-        if reps < 1 or run < 0:
-            raise InvalidProgramError("pair counts must be >= 1 and run lengths >= 0")
-        return np.concatenate(
-            [np.tile(np.array([0, 1], dtype=np.uint8), reps), np.zeros(run, dtype=np.uint8)]
-        )
-
-    return BlockProgram(alphabet, np.empty(0, dtype=np.uint8), block, description=description)
+    return _preset_program(alphabet_size, {
+        "preset": "triple_growth",
+        "swap_symbol": swap_symbol,
+        "schedule": schedule.describe(),
+    })
 
 
 def run_alternation_preset(pair_base: int = 2, run_slope: int = 1, run_offset: int = 5) -> BlockProgram:
-    """Serializable run-alternation preset: pair_counts(i) = pair_base^i,
-    run_lengths(i) = run_slope*i + run_offset."""
-    return run_alternation_program(
-        lambda i: pair_base**i,
-        lambda i: run_slope * i + run_offset,
-        description={
-            "preset": "run_alternation",
-            "pair_base": pair_base,
-            "run_slope": run_slope,
-            "run_offset": run_offset,
-        },
-    )
+    """Block i emits (01)^{pair_base^i} followed by 0^{run_slope*i + run_offset}."""
+    return _preset_program(2, {
+        "preset": "run_alternation",
+        "pair_base": pair_base,
+        "run_slope": run_slope,
+        "run_offset": run_offset,
+    })
+
+
+def _prefix_doubling_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+    base = source_from_description(field(d, "base_source", dict))
+    schedule = EpochSchedule.from_description(field(d, "schedule", dict))
+    suffix = np.array([field(d, "type2_suffix", int)], dtype=np.uint8)
+
+    def block(j: int) -> np.ndarray:
+        u = base.prefix(j).symbols
+        if schedule.block_type(j) == 2:
+            u = np.concatenate([u, suffix])
+        return np.concatenate([u, u])
+
+    return field(d, "head", str), block
+
+
+def _paired_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+    first = source_from_description(field(d, "first_source", dict))
+    second = source_from_description(field(d, "second_source", dict))
+    offset = np.uint8(field(d, "offset", int))
+
+    def block(j: int) -> np.ndarray:
+        n = (j + 1) // 2
+        return first.prefix(n).symbols if j % 2 else second.prefix(n).symbols + offset
+
+    return "", block
+
+
+def _triple_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+    schedule = EpochSchedule.from_description(field(d, "schedule", dict))
+    swap = np.array([field(d, "swap_symbol", int)], dtype=np.uint8)
+
+    def block(n: int) -> np.ndarray:
+        u, v, w = (np.full(n, s, dtype=np.uint8) for s in range(3))
+        return np.concatenate([u, swap, v, swap, w] if schedule.block_type(n) == 2 else [u, v, w])
+
+    return "", block
+
+
+def _run_alternation_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+    base, slope, offset = (field(d, key, int) for key in ("pair_base", "run_slope", "run_offset"))
+
+    def block(i: int) -> np.ndarray:
+        reps, run = base**i, slope * i + offset
+        if reps < 1 or run < 0:
+            raise InvalidProgramError("pair counts must be >= 1 and run lengths >= 0")
+        return np.concatenate([np.tile(np.uint8([0, 1]), reps), np.zeros(run, np.uint8)])
+
+    return "", block
+
+
+# each preset's head word text and block function, built from its description alone
+_PRESETS = {
+    "prefix_doubling": _prefix_doubling_blocks,
+    "paired_growth": _paired_growth_blocks,
+    "triple_growth": _triple_growth_blocks,
+    "run_alternation": _run_alternation_blocks,
+}
+
+
+def _preset_program(alphabet_size: int, description: Mapping) -> BlockProgram:
+    """The program a preset description defines, carrying that description:
+    a preset program is by construction what its description rebuilds."""
+    preset = field(description, "preset", str)
+    if preset not in _PRESETS:
+        raise ConfigError(f"unknown block program preset {preset!r}")
+    alphabet = Alphabet(alphabet_size)
+    head, block = _PRESETS[preset](description)
+    return BlockProgram(alphabet, FiniteWord(head, alphabet).symbols, block, dict(description))
 
 
 # ---------------------------------------------------------------------------
@@ -655,57 +658,26 @@ def run_alternation_preset(pair_base: int = 2, run_slope: int = 1, run_offset: i
 
 
 def source_from_description(d: Mapping) -> WordSource:
-    kind = d.get("kind")
-    alphabet = Alphabet(int(d["alphabet"])) if "alphabet" in d else None
-    if kind == "periodic":
-        return PeriodicSource(FiniteWord.from_text(str(d["cycle"]), alphabet), alphabet)
-    if kind == "substitution":
-        rules = {int(k): FiniteWord.from_text(str(v), alphabet).symbols
-                 for k, v in d["rules"].items()}
-        return SubstitutionSource(rules, int(d["seed_letter"]), alphabet)
-    if kind == "bernoulli":
-        return BernoulliSource(d["probabilities"], int(d["seed"]), alphabet)
-    if kind == "markov":
-        return MarkovSource(d["transition"], d["initial"], int(d["seed"]), alphabet)
+    """The source a description names; a missing field, or one of the
+    wrong type, raises ConfigError naming it."""
+    kind = field(d, "kind", str)
     if kind == "squarefree":
-        return SquarefreeSource(int(d.get("capacity", 1 << 21)))
+        return SquarefreeSource(typed("capacity", d.get("capacity", 1 << 21), int))
+    alphabet = Alphabet(field(d, "alphabet", int))
+    if kind == "periodic":
+        return PeriodicSource(field(d, "cycle", str), alphabet)
+    if kind == "substitution":
+        rules = {int(k): v for k, v in field(d, "rules", dict).items()}
+        return SubstitutionSource(rules, field(d, "seed_letter", int), alphabet)
+    if kind == "bernoulli":
+        return BernoulliSource(field(d, "probabilities", list), field(d, "seed", int), alphabet)
+    if kind == "markov":
+        return MarkovSource(field(d, "transition", list), field(d, "initial", list),
+                            field(d, "seed", int), alphabet)
     if kind == "block_schedule":
-        return BlockScheduleSource(_program_from_description(d))
-    raise DomainError(f"unknown word-source kind {kind!r}")
-
-
-def _program_from_description(d: Mapping) -> BlockProgram:
-    preset = d.get("preset")
-    if preset == "prefix_doubling":
-        alphabet = Alphabet(int(d["alphabet"]))
-        head = FiniteWord.from_text(str(d["head"]), alphabet)
-        return prefix_doubling_program(
-            source_from_description(d["base_source"]),
-            EpochSchedule.from_description(d["schedule"]),
-            head=head.symbols,
-            type2_suffix=int(d["type2_suffix"]),
-            alphabet_size=alphabet.size,
-        )
-    if preset == "paired_growth":
-        return paired_growth_program(
-            source_from_description(d["first_source"]),
-            source_from_description(d["second_source"]),
-            offset=int(d["offset"]),
-            alphabet_size=int(d["alphabet"]),
-        )
-    if preset == "triple_growth":
-        return triple_growth_program(
-            EpochSchedule.from_description(d["schedule"]),
-            alphabet_size=int(d["alphabet"]),
-            swap_symbol=int(d["swap_symbol"]),
-        )
-    if preset == "run_alternation":
-        return run_alternation_preset(
-            pair_base=int(d["pair_base"]),
-            run_slope=int(d["run_slope"]),
-            run_offset=int(d["run_offset"]),
-        )
-    raise DomainError(f"unknown block program preset {preset!r}")
+        return BlockScheduleSource(_preset_program(
+            alphabet.size, {k: v for k, v in d.items() if k not in ("kind", "alphabet")}))
+    raise ConfigError(f"unknown word-source kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +799,5 @@ def long_word_mass(decomp: ReturnDecomposition, cutoff: int) -> float:
     the cutoff: (1/tau_i) * sum |zeta_j| over j >= 1 with |zeta_j| > M."""
     if cutoff < 0:
         raise DomainError("cutoff must be non-negative")
-    if decomp.count == 0:
-        return 0.0
     lengths = decomp.lengths
     return float(lengths[lengths > cutoff].sum() / decomp.return_times[-1])

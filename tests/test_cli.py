@@ -153,3 +153,52 @@ def test_env_var_default_outdir(files, tmp_path, monkeypatch, capsys):
     assert main(["trace", "--cocycle", files["fib.cocycle"], "--source",
                  files["zero.source"], "--horizon", "64"]) == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("override", ["horizon=abc", "seed=x", "k0=abc", "horizons=5", "seed=7.9"])
+def test_run_override_of_the_wrong_type_exit_2(override, tmp_path):
+    name = {"horizon": "fibonacci-periodic", "seed": "bernoulli-positive",
+            "k0": "thue-morse-positive", "horizons": "gap-blocks"}[override.split("=")[0]]
+    assert main(["run", name, "--override", override, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "verdict.json").exists()
+
+
+BERNOULLI = {"kind": "bernoulli", "alphabet": 2, "probabilities": [0.5, 0.5], "seed": 3}
+
+
+@pytest.mark.parametrize("change", [{"seed": None}, {"seed": "x"}, {"alphabet": "two"}])
+def test_trace_on_a_bad_source_description_exit_2(change, files, tmp_path):
+    desc = {key: value for key, value in {**BERNOULLI, **change}.items() if value is not None}
+    path = tmp_path / "bad.source"
+    path.write_text(textform.dumps("source", desc))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                 "--horizon", "64", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_trace_on_a_cocycle_without_depth_exit_2(files, tmp_path):
+    path = tmp_path / "bad.cocycle"
+    path.write_text(textform.dumps("cocycle", {
+        "alphabet": 2, "matrices": {"0": [[1.0, 1.0], [1.0, 0.0]], "1": [[1.0, 0.0], [1.0, 1.0]]}}))
+    assert main(["trace", "--cocycle", str(path), "--source", files["tm.source"],
+                 "--horizon", "64", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_spectrum_without_potential_exit_2(tmp_path):
+    path = tmp_path / "bad.wavg"
+    path.write_text(textform.dumps("weighted_average", {
+        "states": 2, "weights": [1.0],
+        "weight_source": {"kind": "periodic", "alphabet": 1, "cycle": "0"}}))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_trace_bad_checkpoint_list_exit_2(files, tmp_path):
+    assert main(["trace", "--cocycle", files["fib.cocycle"], "--source",
+                 files["zero.source"], "--checkpoints", "10,abc",
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_source_field_outside_the_domain_exit_3(files, tmp_path):
+    path = tmp_path / "zero-alphabet.source"
+    path.write_text(textform.dumps("source", {**BERNOULLI, "alphabet": 0}))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                 "--horizon", "64", "--out", str(tmp_path / "o")]) == 3

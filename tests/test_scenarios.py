@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 import cocyclelab as cl
@@ -137,3 +138,57 @@ def test_byte_identical_reruns():
                                                 "replicas": 10})
     assert a_files == b_files
     assert json.dumps(a_doc, sort_keys=True) == json.dumps(b_doc, sort_keys=True)
+
+
+# the shorter horizons the benchmark's cli-registry workload runs every
+# scenario at (SCALED in bench/cli_registry.py); every verdict passes there
+SCALED = {
+    "thue-morse-positive": {"horizon": 5_000},
+    "squarefree-positive": {"horizon": 5_000, "capacity": 1 << 13},
+    "bernoulli-positive": {"horizon": 30_000, "lambda_n": 500, "replicas": 10},
+    "nolimit-geometric": {"horizon": 5_000},
+    "fx-depth-k": {"horizon": 4_000},
+    "gap-blocks": {"horizons": [10_000, 30_000]},
+    "nonergodic-4": {"horizon": 5_000},
+}
+
+
+@pytest.mark.parametrize("name", list(scenarios.REGISTRY))
+def test_every_scenario_passes_and_its_source_round_trips(name):
+    doc, files, passed = scenarios.run_scenario(name, SCALED.get(name))
+    assert passed, (doc["expected"], doc["observed"])
+    scenario, config = scenarios.resolve_config(name, SCALED.get(name))
+    parts = scenario.build(config)
+    source = parts["source"] if "source" in parts else parts["weighted"].weight_source
+    desc = source.describe()
+    _, data = textform.loads(textform.dumps("source", desc))
+    rebuilt = cl.source_from_description(data)
+    assert rebuilt.describe() == desc
+    assert rebuilt.prefix(2000) == source.prefix(2000)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("fibonacci-periodic", {"horizon": "abc"}),
+    ("bernoulli-positive", {"seed": "x"}),
+    ("thue-morse-positive", {"k0": "abc"}),
+    ("gap-blocks", {"horizons": 5}),
+    ("gap-blocks", {"horizons": [10_000, 2.5]}),
+    ("bernoulli-positive", {"seed": 7.9}),
+    ("bernoulli-positive", {"seed": True}),
+    ("fibonacci-periodic", {"oscillation_threshold": "1"}),
+    ("nolimit", {"schedule": 2}),
+])
+def test_override_of_the_wrong_type_is_a_config_error(name, overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        scenarios.run_scenario(name, overrides)
+
+
+def test_overrides_are_stored_with_their_default_type():
+    _, config = scenarios.resolve_config("gap-blocks", {
+        "cutoff": np.int64(16), "mass_floor": 1, "horizons": (np.int64(20_000), 40_000)})
+    assert config["cutoff"] == 16 and type(config["cutoff"]) is int
+    assert config["mass_floor"] == 1.0 and type(config["mass_floor"]) is float
+    assert config["horizons"] == [20_000, 40_000]
+    assert all(type(n) is int for n in config["horizons"])
+    doc, _, passed = scenarios.run_scenario("nilpotent-halt", {"horizon": np.int64(32)})
+    assert passed and doc["config"]["horizon"] == 32 and type(doc["config"]["horizon"]) is int

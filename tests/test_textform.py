@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cocyclelab as cl
 from cocyclelab import textform
-from cocyclelab.errors import ConfigError
+from cocyclelab.errors import ConfigError, DomainError, InvalidProgramError
 
 
 def test_dumps_loads_round_trip_nested():
@@ -90,6 +90,78 @@ def test_block_program_round_trip():
     rebuilt = cl.source_from_description(src.describe())
     assert rebuilt.prefix(500) == src.prefix(500)
     assert rebuilt.describe() == src.describe()
+
+
+PRESETS = {
+    "paired_growth": lambda: cl.words.paired_growth_program(
+        cl.BernoulliSource([0.5, 0.5], seed=11), cl.SquarefreeSource(capacity=4096)),
+    "triple_growth": lambda: cl.words.triple_growth_program(cl.EpochSchedule(kind="tower")),
+    "run_alternation": lambda: cl.words.run_alternation_preset(pair_base=3, run_offset=2),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_round_trips_through_textform(preset):
+    src = cl.BlockScheduleSource(PRESETS[preset]())
+    desc = src.describe()
+    assert desc["preset"] == preset
+    name, data = textform.loads(textform.dumps("source", desc))
+    rebuilt = cl.source_from_description(data)
+    assert rebuilt.describe() == desc
+    assert list(rebuilt.describe()) == list(desc)
+    assert rebuilt.prefix(3000) == src.prefix(3000)
+
+
+def _doubling_description():
+    program = cl.words.prefix_doubling_program(cl.PeriodicSource("01", cl.Alphabet(2)),
+                                               cl.EpochSchedule(kind="geometric", base=4))
+    return cl.BlockScheduleSource(program).describe()
+
+
+def test_description_rejects_unknown_preset_kind_and_missing_head():
+    with pytest.raises(ConfigError, match="preset"):
+        cl.source_from_description({**_doubling_description(), "preset": "spiral"})
+    with pytest.raises(ConfigError, match="kind"):
+        cl.source_from_description({"kind": "fractal", "alphabet": 2})
+    # prefix_doubling's head word has no default
+    desc = _doubling_description()
+    del desc["head"]
+    with pytest.raises(ConfigError, match="head"):
+        cl.source_from_description(desc)
+
+
+def test_run_alternation_negative_run_length_is_invalid():
+    src = cl.BlockScheduleSource(cl.words.run_alternation_preset(run_slope=-3, run_offset=1))
+    with pytest.raises(InvalidProgramError):
+        src.prefix(10)
+
+
+def test_raw_program_has_no_description():
+    program = cl.BlockProgram(cl.Alphabet(2), np.empty(0, np.uint8),
+                              lambda j: np.zeros(j, np.uint8))
+    src = cl.BlockScheduleSource(program)
+    assert src.prefix(3).to_text() == "000"
+    with pytest.raises(DomainError):
+        src.describe()
+
+
+@pytest.mark.parametrize("field, value", [("seed", None), ("seed", "x"), ("seed", 7.9),
+                                          ("seed", True), ("alphabet", "two"),
+                                          ("probabilities", None)])
+def test_bad_source_field_is_a_config_error(field, value):
+    desc = {"kind": "bernoulli", "alphabet": 2, "probabilities": [0.5, 0.5], "seed": 3}
+    if value is None:
+        del desc[field]
+    else:
+        desc[field] = value
+    with pytest.raises(ConfigError, match=field):
+        cl.source_from_description(desc)
+
+
+def test_well_typed_field_outside_the_domain_stays_a_domain_error():
+    desc = {"kind": "bernoulli", "alphabet": 0, "probabilities": [0.5, 0.5], "seed": 3}
+    with pytest.raises(DomainError):  # not a ConfigError, so the CLI exits 3
+        cl.source_from_description(desc)
 
 
 def test_cocycle_description_round_trip():
