@@ -183,10 +183,16 @@ def _entry_stack(values: list) -> np.ndarray:
 class _FactorTable(NamedTuple):
     """Product-kernel state of a (F, d, d) factor stack: every factor at
     entry sum 1 with its log sum and exact support (0/1 floats), an
-    identity slot at index pad = F that pads short rows, and the block
-    size B that the smallest normalised entry and the dimension fix."""
+    identity slot at index pad = F that pads short rows, the block size B
+    that the smallest normalised entry and the dimension fix, and the word
+    tables. words[0] holds the F + 1 units; entry a k + b of words[l + 1]
+    (k = len(words[l])) is words[l][a] @ words[l][b], the raw product of
+    an aligned word of 2^(l+1) factors, associated as `_tree` associates
+    it. The top level L is the largest with (F + 1)^(2^L) <= B, so the
+    tables hold at most as many matrices as one gathered block and every
+    word has at most B factors."""
 
-    units: np.ndarray
+    words: tuple
     log_sums: np.ndarray
     supports: np.ndarray
     pad: int
@@ -199,8 +205,12 @@ def _factor_table(factors: np.ndarray) -> _FactorTable:
     units = np.concatenate([factors, np.eye(d)[None]])
     supports = units > 0
     log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
-    return _FactorTable(units, log_sums, supports.astype(float), F,
-                        _block_size(float(units[:-1][supports[:-1]].min()), d), d)
+    block = _block_size(float(units[:-1][supports[:-1]].min()), d)
+    words = [units]
+    while len(words[-1]) ** 2 <= block:
+        w = words[-1]
+        words.append(np.matmul(w[:, None], w[None]).reshape(-1, d, d))
+    return _FactorTable(tuple(words), log_sums, supports.astype(float), F, block, d)
 
 
 def _normalised(P: np.ndarray) -> np.ndarray:
@@ -236,15 +246,23 @@ def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.
     """Products of the factor blocks idx (R, K, B), B a power of two,
     reduced pairwise, as units of entry sum 1 and their log scales; and
     likewise the products of the first offsets[j] (1..B) factors of block
-    blocks[j]. A prefix of o factors is read from the dyadic pieces while
-    the levels form: for each set bit l of o, piece (o >> l) - 1 of level
-    l multiplies it on the left, so no level is kept. A raw product of
-    at most B sum-1 factors has sum <= 1 and every structurally positive
-    entry >= q^B, so it needs no renormalisation before it is complete.
-    A structurally zero product has unit 0."""
+    blocks[j]. The factor indices are folded into the ids of aligned
+    words level by level (Horner's rule, as `factor_indices` folds
+    windows), and the levels up to the row's word level L' are read from
+    the word tables; only the levels above are multiplied. A prefix of o
+    factors is read from the dyadic pieces while the levels form: for
+    each set bit l of o, piece (o >> l) - 1 of level l multiplies it on
+    the left, so no level is kept. A raw product of at most B sum-1
+    factors has sum <= 1 and every structurally positive entry >= q^B, so
+    it needs no renormalisation before it is complete. A structurally
+    zero product has unit 0."""
     R, _, B = idx.shape
     d, levels = table.dim, B.bit_length()
-    P, S = table.units[idx], table.log_sums[idx]
+    top = _word_level(table, B)
+    ids = [idx]
+    for level in range(top):
+        ids.append(ids[-1][..., 0::2] * len(table.words[level]) + ids[-1][..., 1::2])
+    P, S = table.words[top][ids[top]], table.log_sums[idx]
     eye = np.eye(d)
     heads, head_logs = np.broadcast_to(eye, (R, len(blocks), d, d)), np.zeros((R, 0))
     if len(blocks):
@@ -255,14 +273,21 @@ def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.
         head_logs = np.cumsum(S, axis=-1)[:, blocks, offsets - 1]
     for level in range(levels):
         if len(blocks):
-            pieces = P.reshape(R, -1, d, d)[:, flat[level]]
+            pieces = (table.words[level][ids[level].reshape(R, -1)[:, flat[level]]]
+                      if level < top else P.reshape(R, -1, d, d)[:, flat[level]])
             heads = np.matmul(np.where(odd[level], pieces, eye), heads)
-        if level < levels - 1:
+        if top <= level < levels - 1:
             P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
     if len(blocks):
         head_logs = head_logs + _normalised(heads)
     P = P[..., 0, :, :]
     return P, S.sum(axis=-1) + _normalised(P), heads, head_logs
+
+
+def _word_level(table: _FactorTable, B: int) -> int:
+    """Word level L' that blocks of B factors read: the top table level,
+    or log2(B) if that is lower."""
+    return min(len(table.words) - 1, B.bit_length() - 1)
 
 
 def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
@@ -297,8 +322,11 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     (increasing, in 1..n), read as the chained unit before its block
     times the block's prefix up to it (-inf from the first structural
     zero on), zero[r] that first zero (0 if none), and
-    exp(log_scale) * unit the product with its exact support. Batches of
-    many rows are sized by `_reduce_groups`.
+    exp(log_scale) * unit the product with its exact support. Blocks are
+    taken in chunks whose gathered words (B >> L' matrices a block) fit
+    _GATHER_BYTES, and the log scale runs through one cumulative sum
+    started from the carried one, so no result depends on where chunks
+    split. Batches of many rows are sized by `_reduce_groups`.
     """
     R, n = rows.shape
     d = table.dim
@@ -314,7 +342,7 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     unit = np.tile(np.eye(d), (R, 1, 1))
     sup = unit.copy()  # 0/1 floats: the exact running support
     acc = np.zeros(R)
-    chunk = max(1, _GATHER_BYTES // (R * B * d * d * 8))
+    chunk = max(1, _GATHER_BYTES // (R * 8 * (B >> _word_level(table, B)) * d * d))
     for j0 in range(0, count, chunk):
         alive = zero == 0
         if not alive.any():
@@ -336,11 +364,11 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
                 np.matmul(chain[k], units[:, k], out=chain[k + 1])
                 sums[:, k] = s = chain[k + 1].sum(axis=(1, 2))
                 chain[k + 1] /= s[:, None, None]
-            steps = np.cumsum(logs + np.log(sums), axis=1) + acc[:, None]
+            # the log scale before each block and after the last, carried from acc
+            steps = np.cumsum(np.concatenate([acc[:, None], logs + np.log(sums)], axis=1), axis=1)
             if len(here):
                 head_sums = np.matmul(chain[k_cp].swapaxes(0, 1), heads).sum(axis=(-2, -1))
-                head_values = (np.concatenate([acc[:, None], steps], axis=1)[:, k_cp]
-                               + head_logs + np.log(head_sums))
+                head_values = steps[:, k_cp] + head_logs + np.log(head_sums)
         for r in np.flatnonzero(alive & ~live[:, -1]):
             k = int(np.argmin(live[r]))
             zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r], blocks[r, j0 + k],
@@ -374,8 +402,8 @@ def _row_block(table: _FactorTable, n: int) -> int:
 def _reduce_groups(table: _FactorTable, count: int, n: int, rows_for, checkpoints=()):
     """`_reduce` of count factor rows of length n; rows_for(range) builds
     the rows of one group. A group holds as many rows as keep both their
-    indices (8n bytes a row) and the factors one reduction gathers
-    (8Bd^2 bytes a row) within _GATHER_BYTES, and at least one."""
+    indices (8n bytes a row) and the factors of one block (8Bd^2 bytes a
+    row) within _GATHER_BYTES, and at least one."""
     per_row = 8 * max(n, _row_block(table, n) * table.dim**2)
     group = max(1, _GATHER_BYTES // per_row)
     if count <= group:

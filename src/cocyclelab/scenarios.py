@@ -478,9 +478,10 @@ def resolve_config(name: str, overrides: dict | None = None) -> tuple[Scenario, 
             raise ConfigError(f"unknown override {key!r} for scenario {name}")
         # an override takes its default's type, and a list its items' type
         default = scenario.defaults[key]
-        config[key] = typed(key, value, type(default))
-        if isinstance(default, list):
-            config[key] = [typed(key, item, type(default[0])) for item in config[key]]
+        listed = isinstance(default, list)
+        config[key] = typed(key, value, list[type(default[0])] if listed else type(default))
+        if listed and not config[key]:
+            raise ConfigError(f"{key} must not be empty")
     return scenario, config
 
 

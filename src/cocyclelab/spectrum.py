@@ -160,7 +160,7 @@ def spectrum_to_csv(points: list[SpectrumPoint]) -> str:
 
 def weighted_average_from_description(d) -> WeightedAverageSpec:
     return WeightedAverageSpec(
-        field(d, "potential", list),
-        field(d, "weights", list),
+        field(d, "potential", list[list[float]]),
+        field(d, "weights", list[float]),
         source_from_description(field(d, "weight_source", dict)),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 import math
 import numbers
-from typing import Mapping
+from typing import Mapping, get_args, get_origin
 
 from .errors import ConfigError
 
@@ -28,15 +28,22 @@ from .errors import ConfigError
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, list: (list, tuple)}
 
 
-def typed(key: str, value, kind: type):
+def typed(key: str, value, kind):
     """value as a `kind`, else ConfigError naming the key: the one type rule
-    for scenario overrides and description fields."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(kind, kind)):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    for scenario overrides and description fields. A list kind may name its
+    items' kind, as list[float] or list[list[float]]; each item is then read
+    by the same rule under the key key[i]."""
+    origin = get_origin(kind) or kind
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(origin, origin)):
+        name = kind.__name__ if origin is kind else str(kind)
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if origin is not kind:
+        (item,) = get_args(kind)
+        return [typed(f"{key}[{i}]", x, item) for i, x in enumerate(value)]
     return kind(value)
 
 
-def field(d: Mapping, key: str, kind: type):
+def field(d: Mapping, key: str, kind):
     """d[key] read by `typed`, or ConfigError naming the missing field."""
     if key not in d:
         raise ConfigError(f"description has no {key!r} field")

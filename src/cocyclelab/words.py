@@ -583,10 +583,13 @@ def run_alternation_preset(pair_base: int = 2, run_slope: int = 1, run_offset: i
     })
 
 
-def _prefix_doubling_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+_Preset = tuple[str, Callable[[int], np.ndarray]]  # head word text, block function
+
+
+def _prefix_doubling_blocks(d: Mapping, alphabet: Alphabet) -> _Preset:
     base = source_from_description(field(d, "base_source", dict))
     schedule = EpochSchedule.from_description(field(d, "schedule", dict))
-    suffix = np.array([field(d, "type2_suffix", int)], dtype=np.uint8)
+    suffix = _as_symbol_array(field(d, "type2_suffix", int), alphabet)
 
     def block(j: int) -> np.ndarray:
         u = base.prefix(j).symbols
@@ -597,10 +600,10 @@ def _prefix_doubling_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray
     return field(d, "head", str), block
 
 
-def _paired_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+def _paired_growth_blocks(d: Mapping, alphabet: Alphabet) -> _Preset:
     first = source_from_description(field(d, "first_source", dict))
     second = source_from_description(field(d, "second_source", dict))
-    offset = np.uint8(field(d, "offset", int))
+    offset = _as_symbol_array(field(d, "offset", int), alphabet)[0]
 
     def block(j: int) -> np.ndarray:
         n = (j + 1) // 2
@@ -609,9 +612,9 @@ def _paired_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]
     return "", block
 
 
-def _triple_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+def _triple_growth_blocks(d: Mapping, alphabet: Alphabet) -> _Preset:
     schedule = EpochSchedule.from_description(field(d, "schedule", dict))
-    swap = np.array([field(d, "swap_symbol", int)], dtype=np.uint8)
+    swap = _as_symbol_array(field(d, "swap_symbol", int), alphabet)
 
     def block(n: int) -> np.ndarray:
         u, v, w = (np.full(n, s, dtype=np.uint8) for s in range(3))
@@ -620,7 +623,7 @@ def _triple_growth_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]
     return "", block
 
 
-def _run_alternation_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray]]:
+def _run_alternation_blocks(d: Mapping, alphabet: Alphabet) -> _Preset:
     base, slope, offset = (field(d, key, int) for key in ("pair_base", "run_slope", "run_offset"))
 
     def block(i: int) -> np.ndarray:
@@ -632,7 +635,8 @@ def _run_alternation_blocks(d: Mapping) -> tuple[str, Callable[[int], np.ndarray
     return "", block
 
 
-# each preset's head word text and block function, built from its description alone
+# each preset's head word text and block function, built from its description
+# and alphabet alone; a symbol field outside the alphabet is a DomainError
 _PRESETS = {
     "prefix_doubling": _prefix_doubling_blocks,
     "paired_growth": _paired_growth_blocks,
@@ -648,7 +652,7 @@ def _preset_program(alphabet_size: int, description: Mapping) -> BlockProgram:
     if preset not in _PRESETS:
         raise ConfigError(f"unknown block program preset {preset!r}")
     alphabet = Alphabet(alphabet_size)
-    head, block = _PRESETS[preset](description)
+    head, block = _PRESETS[preset](description, alphabet)
     return BlockProgram(alphabet, FiniteWord(head, alphabet).symbols, block, dict(description))
 
 
@@ -670,10 +674,11 @@ def source_from_description(d: Mapping) -> WordSource:
         rules = {int(k): v for k, v in field(d, "rules", dict).items()}
         return SubstitutionSource(rules, field(d, "seed_letter", int), alphabet)
     if kind == "bernoulli":
-        return BernoulliSource(field(d, "probabilities", list), field(d, "seed", int), alphabet)
+        return BernoulliSource(field(d, "probabilities", list[float]), field(d, "seed", int),
+                               alphabet)
     if kind == "markov":
-        return MarkovSource(field(d, "transition", list), field(d, "initial", list),
-                            field(d, "seed", int), alphabet)
+        return MarkovSource(field(d, "transition", list[list[float]]),
+                            field(d, "initial", list[float]), field(d, "seed", int), alphabet)
     if kind == "block_schedule":
         return BlockScheduleSource(_preset_program(
             alphabet.size, {k: v for k, v in d.items() if k not in ("kind", "alphabet")}))

@@ -202,3 +202,41 @@ def test_source_field_outside_the_domain_exit_3(files, tmp_path):
     path.write_text(textform.dumps("source", {**BERNOULLI, "alphabet": 0}))
     assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
                  "--horizon", "64", "--out", str(tmp_path / "o")]) == 3
+
+
+def test_trace_on_a_number_list_with_a_string_exit_2(files, tmp_path):
+    path = tmp_path / "bad.source"
+    path.write_text(textform.dumps("source", {**BERNOULLI, "probabilities": ["a", 0.5]}))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                 "--horizon", "64", "--out", str(tmp_path / "o")]) == 2
+
+
+QUAD_COCYCLE = textform.dumps("cocycle", {
+    "alphabet": 4, "depth": 1,
+    "matrices": {str(a): [[1.0 + a, 1.0], [1.0, 2.0]] for a in range(4)},
+})
+PRESET_SYMBOL_FIELDS = {
+    "type2_suffix": lambda: cl.words.prefix_doubling_program(
+        cl.BernoulliSource([0.5, 0.5], seed=3), cl.EpochSchedule(kind="geometric", base=4)),
+    "offset": lambda: cl.words.paired_growth_program(
+        cl.BernoulliSource([0.5, 0.5], seed=11), cl.PeriodicSource("01", cl.Alphabet(2))),
+    "swap_symbol": lambda: cl.words.triple_growth_program(cl.EpochSchedule(kind="geometric")),
+}
+
+
+@pytest.mark.parametrize("key", PRESET_SYMBOL_FIELDS)
+def test_trace_on_a_preset_symbol_past_the_alphabet_exit_3(key, tmp_path):
+    cocycle = tmp_path / "quad.cocycle"
+    cocycle.write_text(QUAD_COCYCLE)
+    desc = cl.BlockScheduleSource(PRESET_SYMBOL_FIELDS[key]()).describe()
+    for value, code in [(desc[key], 0), (4, 3), (300, 3)]:  # 300 does not fit a byte
+        path = tmp_path / f"{value}.source"
+        path.write_text(textform.dumps("source", {**desc, key: value}))
+        assert main(["trace", "--cocycle", str(cocycle), "--source", str(path),
+                     "--horizon", "256", "--out", str(tmp_path / "o")]) == code
+
+
+def test_run_with_an_empty_horizon_list_exit_2(tmp_path):
+    assert main(["run", "gap-blocks", "--override", "horizons=[]",
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "verdict.json").exists()

@@ -2,7 +2,9 @@
 fall against the block grid, checkpoints on and off block edges and at
 every position, entry ranges that shrink the block to one factor, the
 block-size rule, dense d = 16 tables, batches that mix zero and nonzero
-rows, 60-digit fidelity, a memory bound, and thread safety."""
+rows, 60-digit fidelity, a memory bound, thread safety, word tables that
+give the factor-by-factor results bit for bit, and results that do not
+depend on where chunks split."""
 
 import sys
 import tracemalloc
@@ -347,3 +349,68 @@ def test_row_groups_keep_indices_and_gathers_within_budget(rng, monkeypatch, d, 
         whole = run()
     for got, ref in zip(grouped, whole):
         np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+def word_table_rows(spec, n, dying, seed):
+    """Factor rows (3, n) over words of the live letters 0..m-2, and the
+    step at which the last row dies: if `dying`, d factors of the killer
+    word (the last table key, strictly upper triangular) in a row complete
+    a zero at t = B + 3, inside a word of every level >= 1."""
+    rng = np.random.default_rng(seed)
+    m, r, d = spec.alphabet.size, spec.depth, spec.dim
+    syms = rng.integers(0, max(m - 1, 1), (3, n + r - 1)).astype(np.uint8)
+    t = spec._table.block + 3 if dying else None
+    if dying:
+        syms[-1, t - d : t + r - 1] = m - 1
+    return spec.factor_indices(syms, 0, n), t
+
+
+def word_table_spec(rng, d, depth, m):
+    keys = ["".join(map(str, w)) for w in np.ndindex(*(m,) * depth)]
+    table = {key: random_positive(rng, d, 1.0, 2.0) for key in keys}
+    if m > 1:  # the killer: d of it in a row give zero
+        table[keys[-1]] = np.triu(random_positive(rng, d, 1.0, 2.0), k=1) if d > 1 else [[0.0]]
+    return cl.CocycleSpec(cl.Alphabet(m), depth, table)
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("d, depth, m", [(1, 1, 2), (1, 3, 2), (2, 1, 2), (2, 3, 2),
+                                          (4, 1, 3), (4, 3, 2), (16, 1, 2), (16, 3, 1)])
+def test_word_tables_give_the_factor_by_factor_results_bit_for_bit(d, depth, m):
+    rng = np.random.default_rng([d, depth, m])
+    spec = word_table_spec(rng, d, depth, m)
+    full = spec._table
+    top = len(full.words) - 1
+    assert top >= 1
+    flat = full._replace(words=full.words[:1])  # level 0: every factor gathered and multiplied
+    B, w = full.block, 1 << top
+    for n in (3, w + 1, 3 * B + 5):  # no multiple of 2^L, nor of B
+        dying = m > 1 and n > B + 3
+        rows, t = word_table_rows(spec, n, dying, seed=n)
+        cps = np.unique(np.concatenate([rng.integers(1, n + 1, 40),
+                                        [1, 3, w - 1, w + 1, B - 1, B + 1, B + 3, n]]))
+        cps = cps[(cps >= 1) & (cps <= n)]
+        got = cocycles._reduce(full, rows, cps)
+        assert_same_bytes(got, cocycles._reduce(flat, rows, cps))
+        zero = got[1]
+        assert zero[-1] == (t or 0) and not zero[:-1].any()
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    spec = word_table_spec(rng, d, 1, 2)
+    B = spec._table.block
+    n = 9 * B + 5
+    rows, t = word_table_rows(spec, n, True, seed=d)
+    cps = np.unique(rng.integers(1, n + 1, 60))
+    whole = cocycles._reduce(spec._table, rows, cps)
+    assert whole[1][-1] == t
+    words = B >> cocycles._word_level(spec._table, B)  # gathered per block
+    for blocks in (1, 2, 3):  # blocks per chunk
+        monkeypatch.setattr(cocycles, "_GATHER_BYTES", blocks * len(rows) * words * d * d * 8)
+        assert_same_bytes(cocycles._reduce(spec._table, rows, cps), whole)
