@@ -17,7 +17,6 @@ from .words import (
     EpochSchedule,
     block_schedule_prefix,
     occurrences,
-    empirical_frequency,
     decompose_returns,
     ReturnDecomposition,
     return_rate_trace,
@@ -26,21 +25,12 @@ from .words import (
 )
 from .matrices import (
     NonNegMatrix,
-    ConeVector,
     ScaledProduct,
-    Allowability,
-    allowability,
-    entry_sum_norm,
     elem_constant,
-    hilbert_metric,
     phi,
     birkhoff_tau,
     spectral_radius,
     log_norm_bounds,
-    matrix_to_text,
-    matrix_from_text,
-    matrix_to_bytes,
-    matrix_from_bytes,
 )
 from .cocycles import (
     CocycleSpec,
@@ -58,8 +48,6 @@ from .cocycles import (
     PeriodicAtomicMeasure,
     lambda_estimate,
     LambdaEstimate,
-    fekete_extrapolate,
-    frequency_deviations,
     trace_envelope,
 )
 from .returns import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,11 +31,11 @@ from .words import (
     WordSource,
     _as_symbol_array,
     _bernoulli_symbols,
+    _integral,
     _markov_symbols,
     _probabilities,
     _read_symbols,
     _texts,
-    empirical_frequency,
 )
 
 _NEG_INF = float("-inf")
@@ -270,7 +270,9 @@ def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.
         shifts = offsets >> np.arange(levels)[:, None]
         flat = blocks * (B >> np.arange(levels))[:, None] + np.maximum(shifts - 1, 0)
         odd = (shifts & 1 == 1)[..., None, None]
-        head_logs = np.cumsum(S, axis=-1)[:, blocks, offsets - 1]
+        # cumulative log sums of each checkpoint block once, however many checkpoints it holds
+        held, which = np.unique(blocks, return_inverse=True)
+        head_logs = np.cumsum(S[:, held], axis=-1)[:, which, offsets - 1]
     for level in range(levels):
         if len(blocks):
             pieces = (table.words[level][ids[level].reshape(R, -1)[:, flat[level]]]
@@ -522,7 +524,7 @@ def geometric_checkpoints(n0: int, n_max: int) -> np.ndarray:
 
 
 def lyapunov_trace(spec: CocycleSpec, source: WordSource, checkpoints) -> LyapunovTrace:
-    cps = np.asarray(checkpoints, dtype=np.int64)
+    cps = _integral(np.asarray(checkpoints), "checkpoint").astype(np.int64, copy=False)
     if len(cps) == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
         raise DomainError("checkpoints must be strictly increasing and >= 1")
     n_max = int(cps[-1])
@@ -830,62 +832,3 @@ def lambda_estimate(spec: CocycleSpec, measure: MeasureModel, n: int,
     stderr = float(finite.std(ddof=1) / math.sqrt(len(finite))) if len(finite) > 1 else float("nan")
     return LambdaEstimate(mean, 0.0 if periodic else stderr, vals, n, replicas,
                           int(len(vals) - len(finite)))
-
-
-def frequency_deviations(prefix: FiniteWord, measure: MeasureModel,
-                         words: Sequence[FiniteWord]) -> list[tuple[FiniteWord, float, float]]:
-    """Observed sliding-window frequency vs model cylinder mass per word.
-
-    Small deviations are evidence, not proof, that the prefix is typical
-    for the model: no finite horizon certifies genericity.
-    """
-    out = []
-    for w in words:
-        out.append((w, empirical_frequency(prefix, w), measure.cylinder_mass(w)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Limit extrapolation for quasi-subadditive sequences
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeketeReport:
-    ns: np.ndarray
-    ratios: np.ndarray          # a_n / n
-    envelope: np.ndarray        # (a_n + |c_n|) / n, an upper bound on the limit
-    running_min: np.ndarray
-    estimate: float             # last ratio
-    violations: list            # (n, m, excess) where a_{n+m} > a_n + a_m + c_{n^m}
-
-
-def fekete_extrapolate(samples: Sequence[tuple[int, float]], c_of: Callable[[int], float],
-                       tol: float = 1e-9) -> FeketeReport:
-    """Diagnose a sequence expected to satisfy a_{n+m} <= a_n + a_m + c_{min(n,m)},
-    where c_of(k) gives c_k.
-
-    The envelope (a_m + |c_m|)/m bounds limsup a_n/n for every m, so its
-    running minimum brackets the limit from above; the last ratio serves
-    as the point estimate. All sample pairs whose sum is also sampled are
-    checked for violations of the inequality.
-    """
-    if len(samples) < 3:
-        raise DomainError("need at least 3 sample points")
-    pts = sorted((int(n), float(a)) for n, a in samples)
-    ns = np.array([n for n, _ in pts], dtype=np.int64)
-    if len(set(ns.tolist())) != len(ns):
-        raise DomainError("duplicate sample points")
-    a = {n: v for n, v in pts}
-    ratios = np.array([a[n] / n for n in ns])
-    envelope = np.array([(a[n] + abs(c_of(n))) / n for n in ns])
-    running_min = np.minimum.accumulate(envelope)
-    violations = []
-    for i, n in enumerate(ns):
-        for m in ns[i:]:
-            total = int(n + m)
-            if total in a:
-                bound = a[int(n)] + a[int(m)] + c_of(int(min(n, m)))
-                if a[total] > bound + tol:
-                    violations.append((int(n), int(m), float(a[total] - bound)))
-    return FeketeReport(ns, ratios, envelope, running_min, float(ratios[-1]), violations)

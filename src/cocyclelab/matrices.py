@@ -1,18 +1,16 @@
 """Non-negative matrix kernel.
 
-Entry-sum norms, allowability flags, the Hilbert projective metric and
-Birkhoff contraction coefficient, reachability closures, the spectral
-radius from the irreducible class decomposition, and overflow-proof
-scaled products. Every matrix carries an exact boolean support pattern
-alongside its float entries; zero detection is always structural, never
-a float threshold.
+The quasi-multiplicativity constant, Birkhoff's contraction coefficient,
+reachability closures, the spectral radius from the irreducible class
+decomposition, and overflow-proof scaled products in the entry-sum norm.
+Every matrix carries an exact boolean support pattern alongside its
+float entries; zero detection is always structural, never a float
+threshold.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,14 +80,6 @@ class NonNegMatrix:
     def is_zero(self) -> bool:
         return not bool(self.support.any())
 
-    def __matmul__(self, other: "NonNegMatrix") -> "NonNegMatrix":
-        if not isinstance(other, NonNegMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
-        sup = bool_matmul(self.support, other.support)
-        return NonNegMatrix(self.entries @ other.entries, sup)
-
     def __repr__(self):
         return f"NonNegMatrix({self.entries.tolist()})"
 
@@ -110,38 +100,6 @@ def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def entry_sum_norm(B) -> float:
-    """The norm used throughout: sum of all entries. Zero iff B = 0."""
-    return float(as_matrix(B).entries.sum())
-
-
-@dataclass(frozen=True)
-class Allowability:
-    row_allowable: bool
-    column_allowable: bool
-    positive: bool
-
-    @property
-    def allowable(self) -> bool:
-        return self.row_allowable and self.column_allowable
-
-    @property
-    def none(self) -> bool:
-        return not (self.row_allowable or self.column_allowable)
-
-
-def allowability(B) -> Allowability:
-    """Flags computed from the support pattern only: a matrix is
-    row-allowable (column-allowable) when every row (column) has a
-    positive entry, allowable when both, positive when all entries are."""
-    sup = as_matrix(B).support
-    return Allowability(
-        row_allowable=bool(sup.any(axis=1).all()),
-        column_allowable=bool(sup.any(axis=0).all()),
-        positive=bool(sup.all()),
-    )
-
-
 def elem_constant(P) -> float:
     """c(P) = (1/d) * min(P) / max(P) for strictly positive P.
 
@@ -155,51 +113,17 @@ def elem_constant(P) -> float:
     return float(P.entries.min() / (P.dim * P.entries.max()))
 
 
-@dataclass(frozen=True)
-class ConeVector:
-    """Point in the open positive cone (all coordinates > 0)."""
-
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coordinates, dtype=float).reshape(-1)
-        if arr.size < 1 or not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise DomainError("cone vector coordinates must be finite and strictly positive")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coordinates", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coordinates.size
-
-
-def _cone_coords(x) -> np.ndarray:
-    if isinstance(x, ConeVector):
-        return x.coordinates
-    return ConeVector(np.asarray(x, dtype=float)).coordinates
-
-
-def hilbert_metric(x, y) -> float:
-    """Projective distance log(max_i x_i/y_i / min_i x_i/y_i) on the open
-    cone; zero exactly on rays."""
-    xv, yv = _cone_coords(x), _cone_coords(y)
-    if xv.size != yv.size:
-        raise DomainError("dimension mismatch")
-    r = xv / yv
-    return float(np.log(r.max() / r.min()))
-
-
 def phi(B) -> float:
     """Minimal entry cross-ratio min_{i,j,k,s} b_ik b_js / (b_jk b_is).
 
-    Defined for allowable B; equals 0 as soon as B has a zero entry, and
+    Defined for allowable B (every row and every column has a positive
+    entry); equals 0 as soon as B has a zero entry, and
     is found by an exhaustive scan over all index quadruples otherwise.
     """
     B = as_matrix(B)
     if B.dim > MAX_DIM:
         raise DomainError(f"phi supports dim <= {MAX_DIM}")
-    if not allowability(B).allowable:
+    if not (B.support.any(axis=0).all() and B.support.any(axis=1).all()):
         raise DomainError("phi requires an allowable matrix")
     if not bool(B.support.all()):
         return 0.0
@@ -319,49 +243,3 @@ def spectral_radii(entries: np.ndarray, supports: np.ndarray) -> np.ndarray:
     reach = reachability(supports)
     classes = np.where(reach & reach.swapaxes(-1, -2), entries, 0.0)
     return np.abs(np.linalg.eigvals(classes)).max(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: dense decimal text and compact binary
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_text(B) -> str:
-    """Dense row-major decimal text: first line the dimension, then one
-    line per row with repr() entries (shortest round-tripping decimals)."""
-    B = as_matrix(B)
-    lines = [str(B.dim)]
-    for row in B.entries:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> NonNegMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    d = int(lines[0])
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : d + 1]]
-    return NonNegMatrix(np.array(rows))
-
-
-def matrix_to_bytes(B) -> bytes:
-    """Compact binary form, bit-exact: little-endian uint32 dimension d,
-    then d*d float64 entries row-major, then ceil(d*d/8) bytes of support
-    bitmap (row-major, LSB-first within each byte)."""
-    B = as_matrix(B)
-    d = B.dim
-    out = bytearray(struct.pack("<I", d))
-    out += B.entries.astype("<f8").tobytes()
-    out += np.packbits(B.support.reshape(-1), bitorder="little").tobytes()
-    return bytes(out)
-
-
-def matrix_from_bytes(data: bytes) -> NonNegMatrix:
-    (d,) = struct.unpack_from("<I", data, 0)
-    entries = np.frombuffer(data, dtype="<f8", count=d * d, offset=4).reshape(d, d)
-    bitmap_off = 4 + 8 * d * d
-    nbytes = (d * d + 7) // 8
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=bitmap_off),
-        bitorder="little",
-    )[: d * d]
-    return NonNegMatrix(entries.copy(), bits.reshape(d, d).astype(bool))

@@ -63,6 +63,8 @@ class WeightedAverageSpec:
 def _deformed(spec: WeightedAverageSpec, betas: np.ndarray) -> np.ndarray:
     """The matrices exp(beta * v_j * f), (len(betas), m, q, q); raises
     RangeError at the first beta whose exponent could overflow."""
+    if not np.all(np.isfinite(betas)):
+        raise DomainError("beta must be finite")
     peaks = np.abs(betas) * float(np.abs(spec.weight_values).max()) * float(
         np.abs(spec.potential).max()
     )

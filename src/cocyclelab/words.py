@@ -68,16 +68,22 @@ def _as_symbol_array(data, alphabet: Alphabet) -> np.ndarray:
     """data as a flat uint8 symbol array, checked to be integers within
     the alphabet before the cast, so no symbol is truncated or wraps
     around."""
-    arr = _read_symbols(data, alphabet)
+    arr = _integral(_read_symbols(data, alphabet), "symbol")
     if arr.size:
-        if arr.dtype.kind == "f":
-            off = ~np.isfinite(arr) | (arr != np.trunc(arr))
-            if off.any():
-                raise DomainError(f"symbol {arr[off][0]} is not an integer")
         lo, hi = (0 if arr.dtype == np.uint8 else arr.min()), arr.max()
         if lo < 0 or hi >= alphabet.size:
             raise DomainError(f"symbol {lo if lo < 0 else hi} outside alphabet of size {alphabet.size}")
     return arr.astype(np.uint8, copy=False)
+
+
+def _integral(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, checked to hold only integers: a float entry that is not
+    finite or not whole raises DomainError naming it as `what`."""
+    if arr.dtype.kind == "f":
+        off = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if off.any():
+            raise DomainError(f"{what} {arr[off][0]} is not an integer")
+    return arr
 
 
 def _read_symbols(data, alphabet: Alphabet) -> np.ndarray:
@@ -293,6 +299,8 @@ class SubstitutionSource(WordSource):
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     # Philox is counter based: a fixed (seed, stream) key reproduces the
     # stream from position 0, so prefixes of different lengths agree.
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -711,15 +719,6 @@ def occurrences(prefix: FiniteWord, marker: FiniteWord, start: int = 1) -> np.nd
     for j in range(1, m):
         cand = cand[text[cand + j] == pat[j]]
     return cand
-
-
-def empirical_frequency(prefix: FiniteWord, word: FiniteWord) -> float:
-    """Sliding-window frequency of the word among all |prefix|-|word|+1
-    windows of the prefix (occurrences counted from position 0)."""
-    if len(word) > len(prefix):
-        raise DomainError("word longer than prefix")
-    count = len(occurrences(prefix, word, start=0))
-    return count / (len(prefix) - len(word) + 1)
 
 
 @dataclass(frozen=True)

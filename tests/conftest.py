@@ -37,6 +37,17 @@ def brute_phi(entries: np.ndarray) -> float:
     return best
 
 
+def allowable(B: np.ndarray) -> bool:
+    """Every row and every column has a positive entry."""
+    return bool((B > 0).any(axis=0).all() and (B > 0).any(axis=1).all())
+
+
+def hilbert_distance(x, y) -> float:
+    """Hilbert projective distance log(max(x/y) / min(x/y)) on the open cone."""
+    r = np.asarray(x, dtype=float) / np.asarray(y, dtype=float)
+    return float(np.log(r.max() / r.min()))
+
+
 def mp_log_entry_sum(factors) -> float:
     """log of the entry sum of a matrix product at 60 significant digits."""
     import mpmath

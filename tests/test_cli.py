@@ -129,6 +129,12 @@ def test_spectrum_command(files, tmp_path):
     assert len(csv.strip().splitlines()) == 10
 
 
+def test_spectrum_with_a_nan_beta_exit_3(files, tmp_path):
+    assert main(["spectrum", "--spec", files["bes.wavg"], "--beta-min", "nan",
+                 "--beta-count", "3", "--out", str(tmp_path / "s")]) == 3
+    assert not (tmp_path / "s" / "spectrum.csv").exists()
+
+
 def test_check_command(files, tmp_path, capsys):
     assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
                  files["tm.source"], "--n", "256"]) == 0
@@ -198,10 +204,17 @@ def test_trace_bad_checkpoint_list_exit_2(files, tmp_path):
 
 
 def test_source_field_outside_the_domain_exit_3(files, tmp_path):
-    path = tmp_path / "zero-alphabet.source"
-    path.write_text(textform.dumps("source", {**BERNOULLI, "alphabet": 0}))
-    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
-                 "--horizon", "64", "--out", str(tmp_path / "o")]) == 3
+    for change in ({"alphabet": 0}, {"seed": -1}):
+        path = tmp_path / "outside.source"
+        path.write_text(textform.dumps("source", {**BERNOULLI, **change}))
+        assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                     "--horizon", "64", "--out", str(tmp_path / "o")]) == 3
+
+
+def test_run_with_a_negative_seed_exit_3(tmp_path):
+    assert main(["run", "bernoulli-positive", "--override", "seed=-1",
+                 "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "verdict.json").exists()
 
 
 def test_trace_on_a_number_list_with_a_string_exit_2(files, tmp_path):

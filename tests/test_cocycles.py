@@ -298,6 +298,15 @@ def test_geometric_checkpoints():
     assert np.all(np.diff(cps) > 0)
 
 
+def test_trace_rejects_non_integer_checkpoints():
+    spec = positive_spec()
+    for cps in ([1.5, 10.9], [1, float("nan")], [1, float("inf")]):
+        with pytest.raises(DomainError):
+            cl.lyapunov_trace(spec, tm_source(), cps)
+    whole = cl.lyapunov_trace(spec, tm_source(), [1.0, 10.0])
+    assert np.array_equal(whole.values, cl.lyapunov_trace(spec, tm_source(), [1, 10]).values)
+
+
 def test_trace_csv_format():
     spec = positive_spec()
     trace = cl.lyapunov_trace(spec, tm_source(), [10, 20])
@@ -471,15 +480,6 @@ def test_lambda_mixed_support_flag():
     assert est.mixed_support and est.minus_inf_count > 0
 
 
-def test_frequency_deviations_report():
-    prefix = cl.BernoulliSource([0.5, 0.5], seed=30).prefix(200_00)
-    rows = cl.frequency_deviations(
-        prefix, cl.BernoulliMeasure([0.5, 0.5]), [word("0", 2), word("01", 2)]
-    )
-    for _, observed, model in rows:
-        assert abs(observed - model) < 2e-2
-
-
 def test_default_defect_pairs():
     pairs = cl.default_defect_pairs(100)
     assert pairs and all(n + m <= 100 and n >= 1 and m >= 1 for n, m in pairs)
@@ -546,34 +546,3 @@ def test_cylinder_mass_consistency():
         for t in range(4)
     )
     assert deep == pytest.approx(1.0, abs=1e-12)
-
-
-# --- limit extrapolation ----------------------------------------------------
-
-
-def test_fekete_exact_additive():
-    samples = [(n, 3.0 * n) for n in (4, 8, 16, 32, 64)]
-    report = cl.fekete_extrapolate(samples, lambda n: 0.0)
-    assert report.estimate == pytest.approx(3.0, abs=1e-12)
-    assert report.violations == []
-    assert np.all(report.running_min >= 3.0 - 1e-12)
-
-
-def test_fekete_sqrt_correction():
-    ns = [2**k for k in range(2, 13)]
-    samples = [(n, 3.0 * n + math.sqrt(n)) for n in ns]
-    report = cl.fekete_extrapolate(samples, lambda n: 2.0 * math.sqrt(n))
-    assert np.all(np.diff(report.envelope) <= 1e-12)  # decreasing envelope
-    assert report.estimate == pytest.approx(3.0, abs=5e-2)
-    assert report.violations == []
-
-
-def test_fekete_flags_constructed_violation():
-    samples = [(1, 0.0), (2, 10.0), (3, 0.0)]
-    report = cl.fekete_extrapolate(samples, lambda n: 0.0)
-    assert any(v[:2] == (1, 1) for v in report.violations)
-
-
-def test_fekete_needs_three_points():
-    with pytest.raises(DomainError):
-        cl.fekete_extrapolate([(1, 1.0), (2, 2.0)], lambda n: 0.0)

@@ -87,6 +87,16 @@ def test_markov_source_rejects_nan_probability():
         cl.MarkovSource([[0.5, 0.5], [0.5, 0.5]], [float("nan"), 1.0], 1)
 
 
+def test_samplers_reject_a_negative_seed():
+    spec = cl.CocycleSpec(A2, 1, {"0": [[1.0]], "1": [[2.0]]})
+    for draw in (lambda: cl.BernoulliSource([0.5, 0.5], seed=-1).prefix(10),
+                 lambda: cl.MarkovSource([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], seed=-1).prefix(10),
+                 lambda: cl.BernoulliMeasure([0.5, 0.5]).sample_symbols(10, -1, 0),
+                 lambda: cl.lambda_estimate(spec, cl.BernoulliMeasure([0.5, 0.5]), 10, seed=-2)):
+        with pytest.raises(DomainError):
+            draw()
+
+
 def _bernoulli():
     return cl.BernoulliSource([0.3, 0.7], seed=11)
 
@@ -247,22 +257,6 @@ def test_occurrences_against_naive_large():
     for marker in ("0", "011", "0101"):
         got = cl.occurrences(prefix, word(marker, 2)).tolist()
         assert got == naive_occurrences(prefix, word(marker, 2))
-
-
-# --- frequencies ------------------------------------------------------------
-
-
-def test_empirical_frequency_alternating():
-    prefix = cl.PeriodicSource("01", A2).prefix(2000)
-    assert cl.empirical_frequency(prefix, word("0", 2)) == 0.5
-    assert cl.empirical_frequency(prefix, word("00", 2)) == 0.0
-
-
-def test_empirical_frequency_thue_morse_vs_naive_count():
-    prefix = cl.SubstitutionSource({0: "01", 1: "10"}, 0, A2).prefix(2**16)
-    target = word("11", 2)
-    count = len(naive_occurrences(prefix, target, start=0))
-    assert cl.empirical_frequency(prefix, target) == count / (2**16 - 1)
 
 
 # --- return decompositions --------------------------------------------------
