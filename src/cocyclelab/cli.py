@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
+import math
 import json
 import os
 import sys
@@ -26,7 +28,7 @@ from .cocycles import (
     geometric_checkpoints,
     lyapunov_trace,
 )
-from .errors import CocycleLabError, ConfigError
+from .errors import CocycleLabError, ConfigError, DomainError
 from .returns import return_formula_estimate, select_marker
 from .spectrum import spectrum_curve, spectrum_to_csv, weighted_average_from_description
 from .words import source_from_description
@@ -157,6 +159,8 @@ def _cmd_returns(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     wspec = weighted_average_from_description(_load_block(args.spec, "weighted_average"))
+    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
+        raise DomainError("beta must be finite")  # before np.linspace spans them
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_count)
     points = spectrum_curve(wspec, betas, horizon=args.horizon, h=args.step)
     out = _out_dir(args)
@@ -187,6 +191,7 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree for the cocyclelab command line."""
     parser = argparse.ArgumentParser(
         prog="cocyclelab",
         description="Lyapunov exponents of non-negative matrix cocycles over symbolic sequences",
@@ -245,9 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser tree: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -625,66 +624,106 @@ def check_positivity_condition(spec: CocycleSpec, sample_prefix: FiniteWord,
                                exhaustive: bool = False) -> PositivityWitness | None:
     """Search for a window whose ell-step product has all-true support.
 
-    Scans windows observed in the sample prefix (positions >= start) for
-    ell = 1..max_ell, shortest ell first, earliest window first; the
-    exhaustive mode enumerates all m^(ell+r-1) words instead. An absent
-    witness returns None: the condition may genuinely fail.
+    The search walks the product automaton. A state is a window's last
+    r-1 symbols together with the exact 0/1 support of its ell-step
+    product; one more symbol takes a state to the state that the pair
+    fixes, so each length forms one support product per distinct (state,
+    next symbol) pair.
+
+    Observed mode follows the windows of the sample prefix at positions
+    >= start, one state per position, and returns the earliest window
+    with full support at the shortest ell. Exhaustive mode follows all
+    m^(ell+r-1) words through the lexicographically first word that
+    reaches each state, and returns the lexicographically first word with
+    full support at the shortest ell; a length costs at most (reachable
+    states) x m support products, however many words reach them. An
+    absent witness returns None: the condition may genuinely fail.
     """
     if max_ell < 1:
         raise DomainError("max_ell must be >= 1")
     if start < 0:
         raise DomainError("start must be non-negative")
-    r, m, d = spec.depth, spec.alphabet.size, spec.dim
-    arr = sample_prefix.symbols
-    supports = spec._table.supports
-    chunk = max(1, _GATHER_BYTES // (d * d * 8))
-    observed = arr[start:]
-    # names[k]: rank of the observed window of length `named` at k, renamed
-    # by one np.unique per added symbol; ranks stay below len(observed) * m
-    names, named = np.zeros(len(observed) + 1, dtype=np.intp), 0
-
-    def first_witness(windows: np.ndarray, ell: int) -> PositivityWitness | None:
-        # exact support products of all windows at once, first hit in order
-        idx = spec.factor_indices(windows, 0, ell)
-        sup = supports[idx[:, 0]]
-        for t in range(1, ell):
-            sup = np.minimum(np.matmul(sup, supports[idx[:, t]]), 1.0)
-        hits = np.flatnonzero(sup.all(axis=(1, 2)))
-        if len(hits) == 0:
-            return None
-        P = np.eye(d)
-        for f in idx[hits[0]]:
-            P = P @ spec._stack[f]
-        b = float(P.min())
-        if b <= 0.0:
-            raise UnderflowError_("positive support product underflowed to float zero",
-                                  position=ell)
-        return PositivityWitness(FiniteWord(windows[hits[0]], spec.alphabet), ell, b,
-                                 NonNegMatrix(P))
-
+    r, m = spec.depth, spec.alphabet.size
+    contexts = m ** (r - 1)
+    factors = np.arange(m**r)
+    # the one-factor windows: the state each factor enters, states numbered
+    # in the order of their first (lexicographically least) factor
+    first, entered = _automaton_states(factors % contexts, spec._table.supports[:-1])
+    context, support = first % contexts, spec._table.supports[first]
+    if exhaustive:
+        words = (first[:, None] // m ** np.arange(r - 1, -1, -1) % m).astype(np.uint8)
+    else:
+        observed = sample_prefix.symbols[start:]
+        at = entered[spec.factor_indices(observed, 0, len(observed) - r + 1)]
     for ell in range(1, max_ell + 1):
         wlen = ell + r - 1
-        if exhaustive:
-            # all m^wlen words in lexicographic order, decoded chunk by chunk
-            place = m ** np.arange(wlen - 1, -1, -1, dtype=np.int64)
-            count = m**wlen
-            take = lambda c0, c1: (
-                np.arange(c0, c1, dtype=np.int64)[:, None] // place % m).astype(np.uint8)
-        else:
-            if len(observed) < wlen:
-                break
-            while named < wlen:
-                _, first, names = np.unique(names[:-1] * m + observed[named:],
-                                            return_index=True, return_inverse=True)
-                named += 1
-            distinct = sliding_window_view(observed, wlen)[np.sort(first)]
-            count = len(distinct)
-            take = lambda c0, c1: distinct[c0:c1]
-        for c0 in range(0, count, chunk):
-            hit = first_witness(take(c0, min(count, c0 + chunk)), ell)
-            if hit is not None:
-                return hit
+        if ell > 1:
+            if exhaustive:  # every state's first word, extended in symbol order
+                taken = np.ones(len(context) * m, dtype=bool)
+            else:  # the (state, next symbol) pairs that the positions take
+                if len(observed) < wlen:
+                    break
+                pair = at[:-1] * m + observed[wlen - 1 :]
+                taken = np.zeros(len(context) * m, dtype=bool)
+                taken[pair] = True
+            parent, symbol = np.divmod(np.flatnonzero(taken), m)
+            factor = context[parent] * m + symbol
+            support = _support_steps(spec._table, support, parent, factor)
+            first, entered = _automaton_states(factor % contexts, support)
+            context, support = factor[first] % contexts, support[first]
+            if exhaustive:
+                words = np.column_stack([words[parent[first]], symbol[first]]).astype(np.uint8)
+            else:
+                at = entered[(np.cumsum(taken) - 1)[pair]]
+        positive = support.all(axis=(1, 2))
+        hits = np.flatnonzero(positive if exhaustive else positive[at])
+        if len(hits):
+            k = hits[0]
+            window = words[k] if exhaustive else observed[k : k + wlen]
+            return _positivity_witness(spec, window, ell)
     return None
+
+
+def _automaton_states(context: np.ndarray, support: np.ndarray):
+    """(first, state) for candidates given as contexts and (k, d, d) exact
+    supports: states are numbered in the order of their first candidate,
+    first[s] is that candidate and state[i] is the state of candidate i."""
+    k = len(context)
+    keys = np.concatenate([context.astype(np.int64)[:, None].view(np.uint8),
+                           np.packbits(support.reshape(k, -1) > 0, axis=1)], axis=1)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+def _support_steps(table: _FactorTable, support: np.ndarray, parent: np.ndarray,
+                   factor: np.ndarray) -> np.ndarray:
+    """support[parent] times the factors' supports, kept 0/1, in batches
+    whose operands fit _GATHER_BYTES."""
+    d = table.dim
+    chunk = max(1, _GATHER_BYTES // (d * d * 8))
+    out = np.empty((len(parent), d, d))
+    for c0 in range(0, len(parent), chunk):
+        c1 = c0 + chunk
+        np.minimum(np.matmul(support[parent[c0:c1]], table.supports[factor[c0:c1]]), 1.0,
+                   out=out[c0:c1])
+    return out
+
+
+def _positivity_witness(spec: CocycleSpec, window: np.ndarray, ell: int) -> PositivityWitness:
+    """The witness for a window whose ell-step support is full: its real
+    product, taken factor by factor, and that product's least entry."""
+    P = np.eye(spec.dim)
+    for f in spec.factor_indices(window, 0, ell):
+        P = P @ spec._stack[f]
+    b = float(P.min())
+    if b <= 0.0:
+        raise UnderflowError_("positive support product underflowed to float zero",
+                              position=ell)
+    return PositivityWitness(FiniteWord(window, spec.alphabet), ell, b, NonNegMatrix(P))
 
 
 # ---------------------------------------------------------------------------

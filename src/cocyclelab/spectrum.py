@@ -139,6 +139,8 @@ def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int,
     (beta, beta+h, beta-h, in that order) are one family for `_psi_values`.
     """
     grid = np.asarray(betas, dtype=float)
+    if not np.all(np.isfinite(grid)):  # before the grid is differenced or stepped
+        raise DomainError("beta must be finite")
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise DomainError("beta grid must be strictly increasing")
     if h is not None and not (h != 0 and math.isfinite(h)):

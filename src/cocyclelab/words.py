@@ -109,13 +109,27 @@ class FiniteWord:
     """Immutable finite word; supports slicing, equality and concatenation.
 
     Words can be built from text (see `from_text`), integer sequences, or
-    numpy arrays. The backing array is read-only uint8.
+    numpy arrays. The backing array is read-only C-contiguous uint8; the
+    constructor checks every symbol against the alphabet, while slices,
+    concatenations and source prefixes view symbols already checked.
     """
 
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, data, alphabet: Alphabet):
-        arr = np.ascontiguousarray(_as_symbol_array(data, alphabet))
+        self._bind(_as_symbol_array(data, alphabet), alphabet)
+
+    @classmethod
+    def _view(cls, symbols: np.ndarray, alphabet: Alphabet) -> "FiniteWord":
+        """The word over uint8 symbols already checked against the
+        alphabet, which are not checked again."""
+        word = object.__new__(cls)
+        word._bind(symbols, alphabet)
+        return word
+
+    def _bind(self, symbols: np.ndarray, alphabet: Alphabet) -> None:
+        # a C-contiguous read-only view: copied only when strided
+        arr = np.ascontiguousarray(symbols)
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
         object.__setattr__(self, "alphabet", alphabet)
@@ -131,7 +145,7 @@ class FiniteWord:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return FiniteWord(self.symbols[item], self.alphabet)
+            return FiniteWord._view(self.symbols[item], self.alphabet)
         return int(self.symbols[item])
 
     def __eq__(self, other):
@@ -149,7 +163,7 @@ class FiniteWord:
     def __add__(self, other: "FiniteWord") -> "FiniteWord":
         if self.alphabet.size != other.alphabet.size:
             raise DomainError("cannot concatenate words over different alphabets")
-        return FiniteWord(np.concatenate([self.symbols, other.symbols]), self.alphabet)
+        return FiniteWord._view(np.concatenate([self.symbols, other.symbols]), self.alphabet)
 
     def __repr__(self):
         text = self.to_text() if len(self) <= 32 else self.to_text()[:32] + "..."
@@ -196,7 +210,7 @@ class WordSource(ABC):
             raise DomainError("prefix length must be non-negative")
         if n > len(self._cache):
             self._cache = FiniteWord(self._materialize(n), self.alphabet).symbols
-        return FiniteWord(self._cache[:n], self.alphabet)
+        return FiniteWord._view(self._cache[:n], self.alphabet)
 
     @abstractmethod
     def _materialize(self, n: int) -> np.ndarray:

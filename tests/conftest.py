@@ -1,5 +1,6 @@
 """Shared test oracles: deliberately naive, independent of the library paths."""
 
+import itertools
 import math
 
 import numpy as np
@@ -208,10 +209,38 @@ def naive_observed_witness(spec, symbols, max_ell, start=0):
             if window.tobytes() in seen:
                 continue
             seen.add(window.tobytes())
-            sup = np.eye(spec.dim, dtype=bool)
-            for t in range(ell):
-                factor = spec.evaluate(FiniteWord(window[t : t + spec.depth], spec.alphabet))
-                sup = (sup.astype(int) @ factor.support.astype(int)) > 0
-            if sup.all():
+            if naive_support(spec, window, ell).all():
                 return window, ell
+    return None
+
+
+def naive_support(spec, window, ell) -> np.ndarray:
+    """The boolean support of a window's ell-step product, one boolean
+    product per step."""
+    sup = np.eye(spec.dim, dtype=bool)
+    for t in range(ell):
+        factor = spec.evaluate(FiniteWord(window[t : t + spec.depth], spec.alphabet))
+        sup = (sup.astype(int) @ factor.support.astype(int)) > 0
+    return sup
+
+
+def naive_product(spec, window, ell) -> np.ndarray:
+    """The real ell-step product of a window, factor by factor from the identity."""
+    P = np.eye(spec.dim)
+    for t in range(ell):
+        P = P @ spec.evaluate(FiniteWord(window[t : t + spec.depth], spec.alphabet)).entries
+    return P
+
+
+def naive_positivity(spec, max_ell):
+    """(word, ell, b) for the lexicographically first word whose ell-step
+    support product is all true, at the shortest ell: every one of the
+    m^(ell+r-1) words in lexicographic order, one boolean product per step;
+    None when no word up to max_ell has one."""
+    m = spec.alphabet.size
+    for ell in range(1, max_ell + 1):
+        for symbols in itertools.product(range(m), repeat=ell + spec.depth - 1):
+            window = np.array(symbols, dtype=np.uint8)
+            if naive_support(spec, window, ell).all():
+                return window, ell, float(naive_product(spec, window, ell).min())
     return None

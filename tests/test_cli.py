@@ -1,11 +1,13 @@
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
 
 import cocyclelab as cl
-from cocyclelab import textform
+from cocyclelab import scenarios, textform
 from cocyclelab.cli import main
 from cocyclelab.scenarios import LIST_JSON_SCHEMA
 
@@ -135,6 +137,16 @@ def test_spectrum_with_a_nan_beta_exit_3(files, tmp_path):
     assert not (tmp_path / "s" / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("bound", ["--beta-min=inf", "--beta-min=-inf",
+                                   "--beta-max=inf", "--beta-max=-inf"])
+def test_spectrum_with_an_infinite_beta_exit_3(bound, files, tmp_path, capsys):
+    # warnings are errors under pytest, so this also fails on any numpy warning
+    assert main(["spectrum", "--spec", files["bes.wavg"], bound, "--beta-count", "3",
+                 "--out", str(tmp_path / "s")]) == 3
+    assert "beta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "spectrum.csv").exists()
+
+
 def test_check_command(files, tmp_path, capsys):
     assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
                  files["tm.source"], "--n", "256"]) == 0
@@ -253,3 +265,62 @@ def test_run_with_an_empty_horizon_list_exit_2(tmp_path):
     assert main(["run", "gap-blocks", "--override", "horizons=[]",
                  "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "verdict.json").exists()
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def test_run_after_an_override_run_uses_the_default_config(tmp_path):
+    assert main(["run", "fibonacci-periodic", "--override", "horizon=2000",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "fibonacci-periodic", "--out", str(tmp_path / "b")]) == 0
+    first = json.loads((tmp_path / "a" / "verdict.json").read_text())
+    second = json.loads((tmp_path / "b" / "verdict.json").read_text())
+    assert first["config"]["horizon"] == 2000
+    assert second["config"] == scenarios.resolve_config("fibonacci-periodic")[1]
+
+
+def test_check_after_an_exhaustive_check_runs_observed_mode(files, tmp_path):
+    # only symbol 1 is observed, so the two modes name different witnesses
+    source = tmp_path / "ones.source"
+    source.write_text(textform.dumps("source", {"kind": "periodic", "alphabet": 2, "cycle": "1"}))
+    witnesses = []
+    for extra in (["--exhaustive"], []):
+        out = tmp_path / f"o{len(witnesses)}"
+        assert main(["check", "--cocycle", files["pos.cocycle"], "--source", str(source),
+                     "--n", "64", "--out", str(out), *extra]) == 0
+        witnesses.append(json.loads((out / "check.json").read_text())["witness"]["u"])
+    assert witnesses == ["0", "1"]
+
+
+def test_main_from_threads_writes_what_serial_calls_write(files, tmp_path, capsys):
+    commands = [
+        ["run", "fibonacci-periodic", "--override", "horizon=3000"],
+        ["trace", "--cocycle", files["pos.cocycle"], "--source", files["tm.source"],
+         "--horizon", "4096"],
+        ["check", "--cocycle", files["pos.cocycle"], "--source", files["tm.source"],
+         "--exhaustive", "--max-ell", "3"],
+        ["spectrum", "--spec", files["bes.wavg"], "--beta-count", "5"],
+    ]
+
+    def call(side, k):
+        return main([*commands[k % 4], "--out", str(tmp_path / side / str(k))])
+
+    for k in range(8):
+        assert call("serial", k) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(call, "threads", k) for k in range(8)]
+            codes = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert codes == [0] * 8
+    for k in range(8):
+        serial, threads = tmp_path / "serial" / str(k), tmp_path / "threads" / str(k)
+        names = sorted(os.listdir(serial))
+        assert names and sorted(os.listdir(threads)) == names
+        for name in names:
+            assert (threads / name).read_bytes() == (serial / name).read_bytes()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cocyclelab.matrices import NonNegMatrix, ScaledProduct
 
 from conftest import (
     naive_observed_witness,
+    naive_positivity,
+    naive_product,
     random_positive,
     random_sparse_nonneg,
     reference_cocycle_table,
@@ -415,6 +418,46 @@ def test_observed_positivity_matches_naive_first_occurrence_scan(seed):
             assert hit is None
             continue
         assert hit.u.symbols.tolist() == want[0].tolist() and hit.ell0 == want[1]
+
+
+@pytest.mark.parametrize("m,depth,d", itertools.product((2, 3), (1, 2, 3), (2, 3, 4)))
+def test_positivity_modes_match_the_naive_oracles(m, depth, d):
+    rng = np.random.default_rng([m, depth, d])
+    max_ell = 4
+    for trial in range(3):
+        density = float(rng.uniform(0.3, 0.6))
+        table = {w: random_sparse_nonneg(rng, d, density=density)
+                 for w in itertools.product(range(m), repeat=depth)}
+        table[(0,) * depth][0, 0] = 1.0  # the table needs one nonzero entry
+        spec = cl.CocycleSpec(cl.Alphabet(m), depth, table)
+        sample = cl.BernoulliSource(np.full(m, 1.0 / m), trial).prefix(300)
+        want = naive_positivity(spec, max_ell)
+        hit = cl.check_positivity_condition(spec, sample, max_ell, exhaustive=True)
+        if want is None:
+            assert hit is None
+        else:
+            assert (hit.u.symbols.tolist(), hit.ell0, hit.b) == (want[0].tolist(), want[1], want[2])
+        for start in (0, 5):
+            scan = naive_observed_witness(spec, sample.symbols, max_ell, start)
+            hit = cl.check_positivity_condition(spec, sample, max_ell, start=start)
+            if scan is None:
+                assert hit is None
+                continue
+            b = float(naive_product(spec, scan[0], scan[1]).min())
+            assert (hit.u.symbols.tolist(), hit.ell0, hit.b) == (scan[0].tolist(), scan[1], b)
+
+
+def test_exhaustive_positivity_cost_follows_states_not_words():
+    # every product has permutation support: 2 contexts x at most 4! supports,
+    # where enumerating the words up to ell = 40 would take 2^41 of them
+    rng = np.random.default_rng(5)
+    table = {k: np.eye(4)[rng.permutation(4)] * rng.uniform(0.5, 2.0, (4, 4))
+             for k in ("00", "01", "10", "11")}
+    spec = cl.CocycleSpec(A2, 2, table)
+    sample = cl.BernoulliSource([0.5, 0.5], seed=5).prefix(64)
+    t0 = time.perf_counter()
+    assert cl.check_positivity_condition(spec, sample, max_ell=40, exhaustive=True) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_positivity_search_rejects_negative_start():

@@ -140,10 +140,12 @@ def test_bad_grids():
     for h in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             cl.spectrum_curve(spec, [0.0, 1.0], horizon=100, h=h)
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for bad in (lambda: cl.psi(spec, nan, horizon=100), lambda: cl.beta_cocycle(spec, nan),
                 lambda: cl.spectrum_curve(spec, [nan, 1.0], horizon=100),
-                lambda: cl.spectrum_curve(spec, [nan], horizon=100)):
+                lambda: cl.spectrum_curve(spec, [nan], horizon=100),
+                lambda: cl.spectrum_curve(spec, [0.0, inf], horizon=100),
+                lambda: cl.spectrum_curve(spec, [-inf, 0.0], horizon=100)):
         with pytest.raises(DomainError):
             bad()
 

@@ -362,6 +362,40 @@ def test_word_bytes_export_and_slicing():
     assert (w[:2] + w[2:]) == w
 
 
+VIEW_SOURCES = {
+    "periodic": lambda: cl.PeriodicSource("0112", cl.Alphabet(3)),
+    "substitution": lambda: cl.SubstitutionSource({0: "01", 1: "10"}, 0, A2),
+    "bernoulli": _bernoulli,
+    "markov": _markov,
+    "squarefree": lambda: cl.SquarefreeSource(capacity=4096),
+    "block_schedule": lambda: cl.BlockScheduleSource(words.paired_growth_program(
+        cl.BernoulliSource([0.5, 0.5], seed=3), cl.BernoulliSource([0.5, 0.5], seed=4))),
+}
+
+
+@pytest.mark.parametrize("kind", VIEW_SOURCES)
+def test_prefixes_slices_and_sums_view_checked_symbols(kind):
+    src = VIEW_SOURCES[kind]()
+    prefixes = [src.prefix(n) for n in (40, 7, 1000, 0, 999)]  # the cache grows between
+    derived = [w[::2] for w in prefixes] + [w[::-3] for w in prefixes] + [w[3:30] for w in prefixes]
+    derived += [w[:5] + w[5:] for w in prefixes] + [prefixes[1] + prefixes[0][::2]]
+    for w in prefixes + derived:
+        arr = w.symbols
+        assert arr.dtype == np.uint8 and arr.flags.c_contiguous and not arr.flags.writeable
+        if len(arr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert w == cl.FiniteWord(arr.copy(), src.alphabet)
+    assert prefixes[2][:40] == prefixes[0] and prefixes[4] == prefixes[2][:999]
+
+
+def test_checked_symbols_are_checked_again_against_another_alphabet():
+    w = cl.PeriodicSource("0123", cl.Alphabet(4)).prefix(16)
+    for data in (w, w.symbols, w[::2], w[:3] + w[3:], w.symbols + 0):
+        with pytest.raises(DomainError, match="outside alphabet of size 2"):
+            cl.FiniteWord(data, A2)
+
+
 def test_alphabet_validation():
     with pytest.raises(DomainError):
         cl.FiniteWord("012", A2)
