@@ -15,7 +15,9 @@ from .words import (
     BlockProgram,
     BlockScheduleSource,
     EpochSchedule,
-    block_schedule_prefix,
+    BernoulliMeasure,
+    MarkovMeasure,
+    PeriodicAtomicMeasure,
     occurrences,
     decompose_returns,
     ReturnDecomposition,
@@ -42,10 +44,6 @@ from .cocycles import (
     default_defect_pairs,
     check_positivity_condition,
     PositivityWitness,
-    MeasureModel,
-    BernoulliMeasure,
-    MarkovMeasure,
-    PeriodicAtomicMeasure,
     lambda_estimate,
     LambdaEstimate,
     trace_envelope,

@@ -10,7 +10,6 @@ and estimates the expected exponent under a sampling measure.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -22,17 +21,17 @@ from .errors import (
     RangeError,
     UnderflowError_,
 )
-from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds, reachability
+from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds
 from .textform import field
 from .words import (
     Alphabet,
+    BernoulliMeasure,
     FiniteWord,
+    MarkovMeasure,
+    PeriodicAtomicMeasure,
     WordSource,
     _as_symbol_array,
-    _bernoulli_symbols,
     _integral,
-    _markov_symbols,
-    _probabilities,
     _read_symbols,
     _texts,
 )
@@ -104,16 +103,13 @@ class CocycleSpec:
 
     def evaluate(self, window: FiniteWord) -> NonNegMatrix:
         """Matrix attached to the first depth-r symbols of the window."""
-        if len(window) < self.depth:
-            raise InsufficientContextError(
-                f"window of length {len(window)} shorter than depth {self.depth}",
-                required=self.depth,
-            )
         return self.matrices[int(self.factor_indices(window.symbols, 0, 1)[0])]
 
     def factor_indices(self, symbols: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Table indices of the factors at positions start..stop-1 (of each
-        row, for a 2-D array of symbol rows)."""
+        row, for a 2-D array of symbol rows). Every symbol the factors read,
+        lookahead included, must lie in the table's alphabet, else
+        DomainError: the kernel reads the indices unchecked."""
         r, m = self.depth, self.alphabet.size
         if stop <= start:
             return np.empty(symbols.shape[:-1] + (0,), dtype=np.intp)
@@ -122,6 +118,12 @@ class CocycleSpec:
                 f"prefix of length {symbols.shape[-1]} too short; need {stop + r - 1}",
                 required=stop + r - 1,
             )
+        read = symbols[..., start : stop + r - 1]
+        lo = 0 if read.dtype.kind == "u" else int(read.min(initial=0))
+        hi = int(read.max(initial=0))
+        if lo < 0 or hi >= m:
+            raise DomainError(f"symbol {lo if lo < 0 else hi} outside the cocycle table's "
+                              f"alphabet of size {m}")
         idx = symbols[..., start:stop].astype(np.intp)
         for k in range(1, r):  # Horner's rule over the window's r symbols
             idx *= m
@@ -580,11 +582,6 @@ def quasi_additivity_defect(spec: CocycleSpec, prefix: FiniteWord,
         if n < 1 or m < 1:
             raise DomainError("defect pairs need n >= 1 and m >= 1")
     need = max(n + m for n, m in pairs)
-    if len(prefix) < need + spec.depth - 1:
-        raise InsufficientContextError(
-            f"prefix of length {len(prefix)} too short for pairs up to {need}",
-            required=need + spec.depth - 1,
-        )
     gaps = _split_gaps(spec._table, spec.factor_indices(prefix.symbols, 0, need),
                        [n for n, _ in pairs], [n + m for n, m in pairs])
     out = [DefectPair(n, m, None if math.isnan(g) else abs(g))
@@ -727,101 +724,8 @@ def _positivity_witness(spec: CocycleSpec, window: np.ndarray, ell: int) -> Posi
 
 
 # ---------------------------------------------------------------------------
-# Sampling measures and the expected exponent
+# The expected exponent
 # ---------------------------------------------------------------------------
-
-
-class MeasureModel(ABC):
-    """Shift-invariant sampling model with an explicit cylinder mass."""
-
-    alphabet: Alphabet
-
-    @abstractmethod
-    def cylinder_mass(self, word: FiniteWord) -> float: ...
-
-
-class BernoulliMeasure(MeasureModel):
-    def __init__(self, probabilities):
-        probs = _probabilities(probabilities)
-        if probs.ndim != 1:
-            raise DomainError("probabilities must form a vector")
-        self.probabilities = probs
-        self.alphabet = Alphabet(len(probs))
-
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        return float(np.prod(self.probabilities[word.symbols]))
-
-    def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
-        return _bernoulli_symbols(self.probabilities, n, seed, replica)
-
-
-class MarkovMeasure(MeasureModel):
-    def __init__(self, transition, stationary=None):
-        P = _probabilities(transition)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DomainError("transition must be square")
-        self.transition = P
-        self.alphabet = Alphabet(P.shape[0])
-        if stationary is None:
-            stationary = _stationary_vector(P)
-        self.stationary = _probabilities(stationary)
-        if self.stationary.shape != (P.shape[0],):
-            raise DomainError("need one stationary probability per state")
-
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        syms = word.symbols
-        if len(syms) == 0:
-            return 1.0
-        mass = self.stationary[syms[0]]
-        for a, b in zip(syms[:-1], syms[1:]):
-            mass *= self.transition[a, b]
-        return float(mass)
-
-    def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
-        return _markov_symbols(self.transition, self.stationary, n, seed, replica)
-
-
-def _stationary_vector(P: np.ndarray) -> np.ndarray:
-    """The unique stationary vector of a chain with exactly one closed
-    communicating class, decided from the transition support alone."""
-    m = len(P)
-    reach = reachability(P > 0)
-    # i lies in a closed class iff every state it reaches reaches it back
-    closed = np.all(reach <= reach.T, axis=1)
-    if len({reach[i].tobytes() for i in np.flatnonzero(closed)}) != 1:
-        raise DomainError(
-            "chain has several closed communicating classes, so its stationary "
-            "vector is not unique; pass one explicitly"
-        )
-    vals, vecs = np.linalg.eig(P[np.ix_(closed, closed)].T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.abs(np.real(vecs[:, k]))
-    out = np.zeros(m)
-    out[closed] = pi / pi.sum()
-    return out
-
-
-class PeriodicAtomicMeasure(MeasureModel):
-    """Uniform measure on the orbit of cycle^inf: mass 1/p on each of the
-    p rotations (repeated rotations accumulate mass)."""
-
-    def __init__(self, cycle: FiniteWord):
-        if len(cycle) == 0:
-            raise DomainError("cycle must be nonempty")
-        self.cycle = cycle
-        self.alphabet = cycle.alphabet
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
-    def rotation_prefix(self, t: int, n: int) -> np.ndarray:
-        return self.cycle.symbols[(t + np.arange(n)) % self.period]
-
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        p = self.period
-        rows = _rotation_rows(self.cycle.symbols[None], len(word), np.arange(p))
-        return int(np.count_nonzero((rows == word.symbols).all(axis=1))) / p
 
 
 @dataclass(frozen=True)
@@ -845,7 +749,8 @@ class LambdaEstimate:
         return self.minus_inf_count > 0
 
 
-def lambda_estimate(spec: CocycleSpec, measure: MeasureModel, n: int,
+def lambda_estimate(spec: CocycleSpec,
+                    measure: BernoulliMeasure | MarkovMeasure | PeriodicAtomicMeasure, n: int,
                     replicas: int = 100, seed: int = 0) -> LambdaEstimate:
     """Average of (1/n) log ||A^(n)|| over measure samples.
 

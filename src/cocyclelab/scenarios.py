@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .cocycles import (
-    BernoulliMeasure,
     CocycleSpec,
     check_positivity_condition,
     geometric_checkpoints,
@@ -29,6 +28,7 @@ from .returns import return_formula_estimate, select_marker, periodic_exponent
 from .spectrum import WeightedAverageSpec, spectrum_curve, spectrum_to_csv
 from .words import (
     Alphabet,
+    BernoulliMeasure,
     BernoulliSource,
     BlockScheduleSource,
     EpochSchedule,

@@ -2,8 +2,10 @@
 
 Finite words, replayable infinite word sources (periodic, substitution
 fixed points, Bernoulli/Markov streams, the squarefree indicator, and
-programmable block schedules), occurrence search, and the decomposition
-of a long prefix into return words with respect to a marker word.
+programmable block schedules), the sampling measures whose samplers the
+Bernoulli and Markov sources replay, occurrence search, and the
+decomposition of a long prefix into return words with respect to a
+marker word.
 
 Symbols are integers ``0..m-1`` stored one per byte, so alphabets are
 capped at 256 symbols and prefixes export losslessly as raw byte files.
@@ -25,6 +27,7 @@ from .errors import (
     InvalidProgramError,
     MarkerNotFoundError,
 )
+from .matrices import reachability
 from .textform import field, typed
 
 MAX_ALPHABET = 256
@@ -110,14 +113,18 @@ class FiniteWord:
 
     Words can be built from text (see `from_text`), integer sequences, or
     numpy arrays. The backing array is read-only C-contiguous uint8; the
-    constructor checks every symbol against the alphabet, while slices,
+    constructor checks every symbol against the alphabet and copies an
+    array that would share the caller's memory, while slices,
     concatenations and source prefixes view symbols already checked.
     """
 
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, data, alphabet: Alphabet):
-        self._bind(_as_symbol_array(data, alphabet), alphabet)
+        arr = _as_symbol_array(data, alphabet)
+        if not isinstance(data, FiniteWord) and np.may_share_memory(arr, data):
+            arr = arr.copy()  # a caller's buffer: writing to it must not change the word
+        self._bind(arr, alphabet)
 
     @classmethod
     def _view(cls, symbols: np.ndarray, alphabet: Alphabet) -> "FiniteWord":
@@ -209,12 +216,14 @@ class WordSource(ABC):
         if n < 0:
             raise DomainError("prefix length must be non-negative")
         if n > len(self._cache):
-            self._cache = FiniteWord(self._materialize(n), self.alphabet).symbols
+            self._cache = _as_symbol_array(self._materialize(n), self.alphabet)
+            self._cache.setflags(write=False)
         return FiniteWord._view(self._cache[:n], self.alphabet)
 
     @abstractmethod
     def _materialize(self, n: int) -> np.ndarray:
-        """Return at least the first n symbols; `prefix` caches all of them.
+        """Return at least the first n symbols, unchecked: `prefix` checks
+        them against the alphabet once and caches all of them.
 
         The seeded samplers redraw their stream from position 0 on every
         call, so they return `_sample_length(n)` symbols: a prefix read one
@@ -310,7 +319,7 @@ class SubstitutionSource(WordSource):
         }
 
 
-def _generator(seed: int, stream: int = 0) -> np.random.Generator:
+def _generator(seed: int, stream: int) -> np.random.Generator:
     # Philox is counter based: a fixed (seed, stream) key reproduces the
     # stream from position 0, so prefixes of different lengths agree.
     if seed < 0:
@@ -319,60 +328,140 @@ def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _bernoulli_symbols(probabilities: np.ndarray, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """n IID symbols drawn from the (seed, stream) Philox stream."""
-    u = _generator(seed, stream).random(n)
-    cum = np.cumsum(probabilities)
-    return np.minimum(
-        np.searchsorted(cum, u, side="right"), len(probabilities) - 1
-    ).astype(np.uint8)
+class BernoulliMeasure:
+    """IID product measure with fixed symbol probabilities."""
+
+    def __init__(self, probabilities):
+        probs = _probabilities(probabilities)
+        if probs.ndim != 1:
+            raise DomainError("probabilities must form a vector")
+        self.probabilities = probs
+        self.alphabet = Alphabet(len(probs))
+
+    def cylinder_mass(self, word: FiniteWord) -> float:
+        return float(np.prod(self.probabilities[word.symbols]))
+
+    def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
+        """n IID symbols drawn from the (seed, replica) Philox stream."""
+        u = _generator(seed, replica).random(n)
+        cum = np.cumsum(self.probabilities)
+        return np.minimum(
+            np.searchsorted(cum, u, side="right"), len(self.probabilities) - 1
+        ).astype(np.uint8)
 
 
-def _markov_symbols(transition: np.ndarray, initial: np.ndarray, n: int, seed: int,
-                    stream: int = 0) -> np.ndarray:
-    """First n states of a chain path started from `initial`, drawn from the
-    (seed, stream) Philox stream.
+class MarkovMeasure:
+    """Markov measure of a transition matrix started from the distribution
+    `stationary`: by default the chain's unique stationary vector, which
+    makes the measure shift-invariant; an explicit vector is used as given,
+    as a `MarkovSource` uses its initial distribution."""
 
-    Draw t moves the chain by the map "state -> next state" that row-wise
-    `searchsorted` gives for u[t]; the path is the prefix composition of
-    those maps, formed by doubling over chunks of a fixed byte size.
-    """
-    u = _generator(seed, stream).random(max(n, 1))
-    cum_rows = np.cumsum(transition, axis=1)
-    m1 = len(transition) - 1
-    out = np.empty(n, dtype=np.uint8)
-    if n == 0:
+    def __init__(self, transition, stationary=None):
+        P = _probabilities(transition)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise DomainError("transition must be square")
+        self.transition = P
+        self.alphabet = Alphabet(P.shape[0])
+        if stationary is None:
+            stationary = _stationary_vector(P)
+        self.stationary = _probabilities(stationary)
+        if self.stationary.shape != (P.shape[0],):
+            raise DomainError("need one stationary probability per state")
+
+    def cylinder_mass(self, word: FiniteWord) -> float:
+        syms = word.symbols
+        if len(syms) == 0:
+            return 1.0
+        mass = self.stationary[syms[0]]
+        for a, b in zip(syms[:-1], syms[1:]):
+            mass *= self.transition[a, b]
+        return float(mass)
+
+    def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
+        """First n states of a chain path started from `stationary`, drawn
+        from the (seed, replica) Philox stream.
+
+        Draw t moves the chain by the map "state -> next state" that
+        row-wise `searchsorted` gives for u[t]; the path is the prefix
+        composition of those maps, formed by doubling over chunks of a
+        fixed byte size.
+        """
+        u = _generator(seed, replica).random(max(n, 1))
+        cum_rows = np.cumsum(self.transition, axis=1)
+        m1 = len(self.transition) - 1
+        out = np.empty(n, dtype=np.uint8)
+        if n == 0:
+            return out
+        out[0] = min(int(np.searchsorted(np.cumsum(self.stationary), u[0], side="right")), m1)
+        chunk = max(1, _SCAN_BYTES // (8 * len(self.transition)))
+        for a in range(1, n, chunk):
+            draws = u[a : a + chunk]
+            # maps[t, s]: the state after draw a + t from state s
+            maps = np.stack([np.searchsorted(row, draws, side="right") for row in cum_rows], axis=1)
+            np.minimum(maps, m1, out=maps)
+            k = 1
+            while k < len(maps):  # maps[t] becomes the composition of draws a..a+t
+                maps[k:] = np.take_along_axis(maps[k:], maps[:-k], axis=1)
+                k *= 2
+            out[a : a + len(draws)] = maps[:, out[a - 1]]
         return out
-    out[0] = min(int(np.searchsorted(np.cumsum(initial), u[0], side="right")), m1)
-    chunk = max(1, _SCAN_BYTES // (8 * len(transition)))
-    for a in range(1, n, chunk):
-        draws = u[a : a + chunk]
-        # maps[t, s]: the state after draw a + t from state s
-        maps = np.stack([np.searchsorted(row, draws, side="right") for row in cum_rows], axis=1)
-        np.minimum(maps, m1, out=maps)
-        k = 1
-        while k < len(maps):  # maps[t] becomes the composition of draws a..a+t
-            maps[k:] = np.take_along_axis(maps[k:], maps[:-k], axis=1)
-            k *= 2
-        out[a : a + len(draws)] = maps[:, out[a - 1]]
+
+
+def _stationary_vector(P: np.ndarray) -> np.ndarray:
+    """The unique stationary vector of a chain with exactly one closed
+    communicating class, decided from the transition support alone."""
+    m = len(P)
+    reach = reachability(P > 0)
+    # i lies in a closed class iff every state it reaches reaches it back
+    closed = np.all(reach <= reach.T, axis=1)
+    if len({reach[i].tobytes() for i in np.flatnonzero(closed)}) != 1:
+        raise DomainError(
+            "chain has several closed communicating classes, so its stationary "
+            "vector is not unique; pass one explicitly"
+        )
+    vals, vecs = np.linalg.eig(P[np.ix_(closed, closed)].T)
+    k = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.abs(np.real(vecs[:, k]))
+    out = np.zeros(m)
+    out[closed] = pi / pi.sum()
     return out
 
 
-class BernoulliSource(WordSource):
-    """IID symbols with fixed probabilities, seeded and replayable."""
+class PeriodicAtomicMeasure:
+    """Uniform measure on the orbit of cycle^inf: mass 1/p on each of the
+    p rotations (repeated rotations accumulate mass)."""
 
-    def __init__(self, probabilities, seed: int, alphabet: Alphabet | None = None):
-        probs = _probabilities(probabilities)
-        if alphabet is None:
-            alphabet = Alphabet(len(probs))
-        super().__init__(alphabet)
-        if probs.shape != (alphabet.size,):
-            raise DomainError("need one probability per symbol")
-        self.probabilities = probs
+    def __init__(self, cycle: FiniteWord):
+        if len(cycle) == 0:
+            raise DomainError("cycle must be nonempty")
+        self.cycle = cycle
+        self.alphabet = cycle.alphabet
+
+    @property
+    def period(self) -> int:
+        return len(self.cycle)
+
+    def rotation_prefix(self, t, n: int) -> np.ndarray:
+        """First n symbols of the rotation by t (of each, for an array of t)."""
+        return self.cycle.symbols[(t + np.arange(n)) % self.period]
+
+    def cylinder_mass(self, word: FiniteWord) -> float:
+        rows = self.rotation_prefix(np.arange(self.period)[:, None], len(word))
+        return int(np.count_nonzero((rows == word.symbols).all(axis=1))) / self.period
+
+
+class BernoulliSource(WordSource):
+    """IID symbols with fixed probabilities, seeded and replayable: the
+    replica-0 sample path of `BernoulliMeasure(probabilities)`."""
+
+    def __init__(self, probabilities, seed: int):
+        self.measure = BernoulliMeasure(probabilities)
+        super().__init__(self.measure.alphabet)
+        self.probabilities = self.measure.probabilities
         self.seed = int(seed)
 
     def _materialize(self, n):
-        return _bernoulli_symbols(self.probabilities, self._sample_length(n), self.seed)
+        return self.measure.sample_symbols(self._sample_length(n), self.seed, 0)
 
     def describe(self):
         return {
@@ -384,22 +473,17 @@ class BernoulliSource(WordSource):
 
 
 class MarkovSource(WordSource):
-    """Markov chain sample path with fixed transition rows and seed."""
+    """Markov chain sample path with fixed transition rows and seed: the
+    replica-0 sample path of `MarkovMeasure(transition, initial)`."""
 
-    def __init__(self, transition, initial, seed: int, alphabet: Alphabet | None = None):
-        P, init = _probabilities(transition), _probabilities(initial)
-        if alphabet is None:
-            alphabet = Alphabet(P.shape[0])
-        super().__init__(alphabet)
-        m = alphabet.size
-        if P.shape != (m, m) or init.shape != (m,):
-            raise DomainError("transition must be m x m and initial length m")
-        self.transition = P
-        self.initial = init
+    def __init__(self, transition, initial, seed: int):
+        self.measure = MarkovMeasure(transition, initial)
+        super().__init__(self.measure.alphabet)
+        self.transition, self.initial = self.measure.transition, self.measure.stationary
         self.seed = int(seed)
 
     def _materialize(self, n):
-        return _markov_symbols(self.transition, self.initial, self._sample_length(n), self.seed)
+        return self.measure.sample_symbols(self._sample_length(n), self.seed, 0)
 
     def describe(self):
         return {
@@ -509,30 +593,25 @@ class BlockProgram:
     description: dict | None = None
 
 
-def block_schedule_prefix(program: BlockProgram, n: int) -> FiniteWord:
-    """First n symbols of the programmed concatenation."""
-    if n < 0:
-        raise DomainError("prefix length must be non-negative")
-    parts = [np.asarray(program.head, dtype=np.uint8)]
-    total = len(parts[0])
-    j = 0
-    while total < n:
-        j += 1
-        block = np.asarray(program.block_fn(j), dtype=np.uint8)
-        if block.size == 0:
-            raise InvalidProgramError(f"block program produced an empty block at index {j}")
-        parts.append(block)
-        total += block.size
-    return FiniteWord(np.concatenate(parts)[:n], program.alphabet)
-
-
 class BlockScheduleSource(WordSource):
+    """The word a block program describes: its head, then block_fn(1),
+    block_fn(2), ...; an empty block raises InvalidProgramError."""
+
     def __init__(self, program: BlockProgram):
         super().__init__(program.alphabet)
         self.program = program
 
     def _materialize(self, n):
-        return block_schedule_prefix(self.program, n).symbols
+        parts = [self.program.head]
+        total, j = len(parts[0]), 0
+        while total < n:
+            j += 1
+            block = np.asarray(self.program.block_fn(j))
+            if block.size == 0:
+                raise InvalidProgramError(f"block program produced an empty block at index {j}")
+            parts.append(block)
+            total += block.size
+        return np.concatenate(parts)[:n]
 
     def describe(self):
         if self.program.description is None:
@@ -696,15 +775,24 @@ def source_from_description(d: Mapping) -> WordSource:
         rules = {int(k): v for k, v in field(d, "rules", dict).items()}
         return SubstitutionSource(rules, field(d, "seed_letter", int), alphabet)
     if kind == "bernoulli":
-        return BernoulliSource(field(d, "probabilities", list[float]), field(d, "seed", int),
-                               alphabet)
+        return _over(alphabet, "need one probability per symbol", BernoulliSource(
+            field(d, "probabilities", list[float]), field(d, "seed", int)))
     if kind == "markov":
-        return MarkovSource(field(d, "transition", list[list[float]]),
-                            field(d, "initial", list[float]), field(d, "seed", int), alphabet)
+        return _over(alphabet, "transition must be m x m and initial length m", MarkovSource(
+            field(d, "transition", list[list[float]]), field(d, "initial", list[float]),
+            field(d, "seed", int)))
     if kind == "block_schedule":
         return BlockScheduleSource(_preset_program(
             alphabet.size, {k: v for k, v in d.items() if k not in ("kind", "alphabet")}))
     raise ConfigError(f"unknown word-source kind {kind!r}")
+
+
+def _over(alphabet: Alphabet, mismatch: str, source: WordSource) -> WordSource:
+    """source, whose parameters fix its alphabet, checked to be over the
+    described alphabet: a mismatch raises DomainError(mismatch)."""
+    if source.alphabet != alphabet:
+        raise DomainError(mismatch)
+    return source
 
 
 # ---------------------------------------------------------------------------

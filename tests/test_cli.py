@@ -147,6 +147,15 @@ def test_spectrum_with_an_infinite_beta_exit_3(bound, files, tmp_path, capsys):
     assert not (tmp_path / "s" / "spectrum.csv").exists()
 
 
+def test_trace_over_symbols_outside_the_table_alphabet_exit_3(files, tmp_path, capsys):
+    p = tmp_path / "three.source"
+    p.write_text(textform.dumps("source", {"kind": "periodic", "alphabet": 3, "cycle": "012"}))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(p),
+                 "--horizon", "64", "--out", str(tmp_path / "t")]) == 3
+    assert "symbol 2 outside the cocycle table's alphabet of size 2" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "trace.csv").exists()
+
+
 def test_check_command(files, tmp_path, capsys):
     assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
                  files["tm.source"], "--n", "256"]) == 0

@@ -465,6 +465,47 @@ def test_positivity_search_rejects_negative_start():
         cl.check_positivity_condition(positive_spec(), word("0110100110", 2), max_ell=3, start=-2)
 
 
+# --- symbols outside the table's alphabet -----------------------------------
+
+
+def _stray_symbol_calls(spec):
+    a3 = cl.Alphabet(3)
+    source = cl.PeriodicSource("0120", a3)
+    prefix, cycle = source.prefix(64), cl.FiniteWord("012", a3)
+    return {
+        "evaluate": lambda: spec.evaluate(cl.FiniteWord("2" * spec.depth, a3)),
+        "lyapunov_trace": lambda: cl.lyapunov_trace(spec, source, [8, 16]),
+        "partial_product": lambda: cl.partial_product(spec, prefix, 0, 8),
+        "periodic_exponent": lambda: cl.periodic_exponent(spec, cycle),
+        "quasi_additivity_defect": lambda: cl.quasi_additivity_defect(spec, prefix, [(2, 2), (4, 4)]),
+        "lambda_periodic": lambda: cl.lambda_estimate(spec, cl.PeriodicAtomicMeasure(cycle), 20),
+        "lambda_bernoulli": lambda: cl.lambda_estimate(
+            spec, cl.BernoulliMeasure([0.4, 0.3, 0.3]), 20, replicas=4, seed=1),
+        "positivity": lambda: cl.check_positivity_condition(spec, prefix, max_ell=3),
+        "select_marker": lambda: cl.select_marker(spec, prefix, k0=4, max_ell=3),
+    }
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("entry", list(_stray_symbol_calls(positive_spec())))
+def test_symbols_outside_the_table_alphabet_are_rejected(entry, depth):
+    table = {w: random_positive(np.random.default_rng(len(w) + sum(w)), 2)
+             for w in itertools.product(range(2), repeat=depth)}
+    spec = cl.CocycleSpec(A2, depth, table)
+    with pytest.raises(DomainError, match="symbol 2 outside the cocycle table's alphabet of size 2"):
+        _stray_symbol_calls(spec)[entry]()
+
+
+def test_table_alphabet_check_reads_the_symbols_each_factor_reads():
+    spec = cl.CocycleSpec(A2, 2, {w: [[1.0]] for w in ("00", "01", "10", "11")})
+    w = cl.FiniteWord("01012", cl.Alphabet(3))  # a 3-letter word over 0 and 1 until the end
+    assert cl.partial_product(spec, w, 0, 3).log_norm == 0.0  # reads positions 0..3
+    with pytest.raises(DomainError, match="symbol 2"):
+        cl.partial_product(spec, w, 0, 4)  # the last window reaches position 4
+    with pytest.raises(DomainError, match="symbol -1"):
+        spec.factor_indices(np.array([0, -1, 1]), 0, 2)
+
+
 # --- lambda estimates -------------------------------------------------------
 
 

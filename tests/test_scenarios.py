@@ -167,6 +167,14 @@ def test_every_scenario_passes_and_its_source_round_trips(name):
     assert rebuilt.prefix(2000) == source.prefix(2000)
 
 
+@pytest.mark.parametrize("name", list(scenarios.REGISTRY))
+def test_every_scenario_reruns_byte_identically(name):
+    (a_doc, a_files, _), (b_doc, b_files, _) = (
+        scenarios.run_scenario(name, SCALED.get(name)) for _ in range(2))
+    assert a_files == b_files
+    assert json.dumps(a_doc, sort_keys=True) == json.dumps(b_doc, sort_keys=True)
+
+
 @pytest.mark.parametrize("name, overrides", [
     ("fibonacci-periodic", {"horizon": "abc"}),
     ("bernoulli-positive", {"seed": "x"}),

@@ -10,7 +10,6 @@ from cocyclelab.errors import (
     InvalidProgramError,
     MarkerNotFoundError,
 )
-from cocyclelab.words import _markov_symbols
 
 from conftest import naive_markov_symbols, naive_occurrences, word
 
@@ -66,6 +65,19 @@ def _rebuild_kwargs(src):
     if d["kind"] == "squarefree":
         return dict(capacity=d["capacity"])
     raise AssertionError(d["kind"])
+
+
+@pytest.mark.parametrize("desc, mismatch", [
+    ({"kind": "bernoulli", "alphabet": 3, "probabilities": [0.5, 0.5], "seed": 1},
+     "need one probability per symbol"),
+    ({"kind": "markov", "alphabet": 3, "transition": [[0.5, 0.5], [0.5, 0.5]],
+      "initial": [0.5, 0.5], "seed": 1}, "transition must be m x m and initial length m"),
+])
+def test_sampler_description_alphabet_must_match_its_parameters(desc, mismatch):
+    with pytest.raises(DomainError, match=mismatch):
+        cl.source_from_description(desc)
+    desc = {**desc, "alphabet": 2}
+    assert cl.source_from_description(desc).describe() == desc
 
 
 def test_markov_rows_must_be_stochastic():
@@ -185,7 +197,7 @@ def test_prefix_doubling_block_matches_hand_expansion():
     # is the doubled two-letter prefix.
     assert cl.EpochSchedule(kind="tower").block_type(2) == 1
     np.testing.assert_array_equal(program.block_fn(2), [0, 1, 0, 1])
-    assert cl.block_schedule_prefix(program, 1).to_text() == "3"
+    assert cl.BlockScheduleSource(program).prefix(1).to_text() == "3"
 
 
 def test_block_schedule_total_length_recurrence():
@@ -197,7 +209,7 @@ def test_block_schedule_total_length_recurrence():
         length = 2 * (j + (1 if schedule.block_type(j) == 2 else 0))
         blocks.append(length)
         total += length
-    prefix = cl.block_schedule_prefix(program, total)
+    prefix = cl.BlockScheduleSource(program).prefix(total)
     # the prefix ends exactly at a block boundary: rebuild independently
     rebuilt = [3]
     for j in range(1, 25):
@@ -213,7 +225,15 @@ def test_empty_block_is_invalid():
     program = cl.BlockProgram(cl.Alphabet(2), np.empty(0, np.uint8),
                               lambda j: np.empty(0, np.uint8))
     with pytest.raises(InvalidProgramError):
-        cl.block_schedule_prefix(program, 5)
+        cl.BlockScheduleSource(program).prefix(5)
+
+
+def test_block_symbols_are_checked_before_any_cast():
+    # 258 would wrap to the in-alphabet symbol 2 if cast to a byte first
+    program = cl.BlockProgram(cl.Alphabet(4), np.zeros(1, np.uint8),
+                              lambda j: np.array([1, 258]))
+    with pytest.raises(DomainError, match="symbol 258 outside alphabet of size 4"):
+        cl.BlockScheduleSource(program).prefix(3)
 
 
 # --- occurrences ------------------------------------------------------------
@@ -389,6 +409,25 @@ def test_prefixes_slices_and_sums_view_checked_symbols(kind):
     assert prefixes[2][:40] == prefixes[0] and prefixes[4] == prefixes[2][:999]
 
 
+def test_word_does_not_alias_the_callers_array():
+    a = np.array([0, 1], np.uint8)
+    w = cl.FiniteWord(a, A2)
+    h = hash(w)
+    a[0] = 7
+    assert w.to_text() == "01" and hash(w) == h
+    # a read-only view of a writable array is still the caller's memory
+    b = np.array([1, 0, 1], np.uint8)
+    view = b[:]
+    view.setflags(write=False)
+    w = cl.FiniteWord(view, A2)
+    h = hash(w)
+    b[:] = 9
+    assert w.to_text() == "101" and hash(w) == h
+    # a word's own symbols are immutable, so a word of a word shares them
+    prefix = cl.PeriodicSource("01", A2).prefix(100)
+    assert np.shares_memory(cl.FiniteWord(prefix, A2).symbols, prefix.symbols)
+
+
 def test_checked_symbols_are_checked_again_against_another_alphabet():
     w = cl.PeriodicSource("0123", cl.Alphabet(4)).prefix(16)
     for data in (w, w.symbols, w[::2], w[:3] + w[3:], w.symbols + 0):
@@ -523,5 +562,5 @@ def test_markov_sampler_matches_per_symbol_walk(m):
     initial = np.full(m, 1.0 / m)
     # 30000 crosses a chunk edge of the step-map scan for m = 5
     for n in list(range(0, 40)) + [1000, 10_000, 30_000]:
-        got = _markov_symbols(P, initial, n, seed=17, stream=m)
+        got = cl.MarkovMeasure(P, initial).sample_symbols(n, seed=17, replica=m)
         assert np.array_equal(got, naive_markov_symbols(P, initial, n, 17, m)), n
