@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
-import math
 import json
 import os
 import sys
@@ -28,9 +27,9 @@ from .cocycles import (
     geometric_checkpoints,
     lyapunov_trace,
 )
-from .errors import CocycleLabError, ConfigError, DomainError
+from .errors import CocycleLabError, ConfigError
 from .returns import return_formula_estimate, select_marker
-from .spectrum import spectrum_curve, spectrum_to_csv, weighted_average_from_description
+from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv, weighted_average_from_description
 from .words import source_from_description
 
 EXIT_OK = 0
@@ -159,9 +158,7 @@ def _cmd_returns(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     wspec = weighted_average_from_description(_load_block(args.spec, "weighted_average"))
-    if not (math.isfinite(args.beta_min) and math.isfinite(args.beta_max)):
-        raise DomainError("beta must be finite")  # before np.linspace spans them
-    betas = np.linspace(args.beta_min, args.beta_max, args.beta_count)
+    betas = _beta_grid(args.beta_min, args.beta_max, args.beta_count)
     points = spectrum_curve(wspec, betas, horizon=args.horizon, h=args.step)
     out = _out_dir(args)
     _atomic_write(os.path.join(out, "spectrum.csv"), spectrum_to_csv(points))

@@ -182,18 +182,13 @@ def _entry_stack(values: list) -> np.ndarray:
 
 
 class _FactorTable(NamedTuple):
-    """Product-kernel state of a (F, d, d) factor stack: every factor at
-    entry sum 1 with its log sum and exact support (0/1 floats), an
-    identity slot at index pad = F that pads short rows, the block size B
-    that the smallest normalised entry and the dimension fix, and the word
-    tables. words[0] holds the F + 1 units; entry a k + b of words[l + 1]
-    (k = len(words[l])) is words[l][a] @ words[l][b], the raw product of
-    an aligned word of 2^(l+1) factors, associated as `_tree` associates
-    it. The top level L is the largest with (F + 1)^(2^L) <= B, so the
-    tables hold at most as many matrices as one gathered block and every
-    word has at most B factors."""
+    """Product-kernel state of a (F, d, d) factor stack: the units, every
+    factor at entry sum 1 followed by an identity slot at index pad = F
+    that pads short rows, with their log sums and exact supports (0/1
+    floats), and the block size B that the smallest normalised entry and
+    the dimension fix."""
 
-    words: tuple
+    units: np.ndarray
     log_sums: np.ndarray
     supports: np.ndarray
     pad: int
@@ -207,11 +202,7 @@ def _factor_table(factors: np.ndarray) -> _FactorTable:
     supports = units > 0
     log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
     block = _block_size(float(units[:-1][supports[:-1]].min()), d)
-    words = [units]
-    while len(words[-1]) ** 2 <= block:
-        w = words[-1]
-        words.append(np.matmul(w[:, None], w[None]).reshape(-1, d, d))
-    return _FactorTable(tuple(words), log_sums, supports.astype(float), F, block, d)
+    return _FactorTable(units, log_sums, supports.astype(float), F, block, d)
 
 
 def _normalised(P: np.ndarray) -> np.ndarray:
@@ -243,65 +234,144 @@ def _ceil_pow2(n):
     return np.left_shift(1, np.ceil(np.log2(np.maximum(n, 1))).astype(np.int64))
 
 
-def _tree(table: _FactorTable, idx: np.ndarray, blocks: np.ndarray, offsets: np.ndarray):
-    """Products of the factor blocks idx (R, K, B), B a power of two,
-    reduced pairwise, as units of entry sum 1 and their log scales; and
-    likewise the products of the first offsets[j] (1..B) factors of block
-    blocks[j]. The factor indices are folded into the ids of aligned
-    words level by level (Horner's rule, as `factor_indices` folds
-    windows), and the levels up to the row's word level L' are read from
-    the word tables; only the levels above are multiplied. A prefix of o
-    factors is read from the dyadic pieces while the levels form: for
-    each set bit l of o, piece (o >> l) - 1 of level l multiplies it on
-    the left, so no level is kept. A raw product of at most B sum-1
+def _pieces(blocks: np.ndarray, offsets: np.ndarray, B: int):
+    """Per level l and prefix length o = offsets[j] (1..B) of block
+    blocks[j]: the flat index of piece (o >> l) - 1 among the level's
+    aligned words, and whether bit l of o is set (as (levels, J, 1, 1))."""
+    shifts = offsets >> np.arange(B.bit_length())[:, None]
+    return (blocks * (B >> np.arange(B.bit_length()))[:, None] + np.maximum(shifts - 1, 0),
+            (shifts & 1 == 1)[..., None, None])
+
+
+def _block_bytes(B: int, width: int, d: int) -> int:
+    """Bytes a chunk allocates for one row's block of B factors read as
+    width words: the factors' indices (where padded) and log sums, the
+    gathered words, and the block's unit, chain and support matrices."""
+    return 8 * (2 * B + (width + 3) * d * d)
+
+
+def _chunk_blocks(R: int, B: int, width: int, d: int, tables: int) -> int:
+    """Blocks per chunk: as many as keep R rows' block allocations within
+    what the word tables leave of _GATHER_BYTES, and at least one."""
+    return max(1, (_GATHER_BYTES - tables) // (R * _block_bytes(B, width, d)))
+
+
+def _fold(table: _FactorTable, rows: np.ndarray, B: int, count: int, flat):
+    """Tables of the aligned words that occur in the factor rows (R, n),
+    padded with the identity slot to count blocks of B factors.
+
+    Level 0 is the units, with the rows as ids. Level l + 1 pairs adjacent
+    level-l words: each distinct pair that occurs gets one id, through a
+    dense remap over the u^2 pairs of the u level-l words, and its raw
+    product is formed once, from the same two operands the pairwise levels
+    multiply, so it is bit for bit the product at every position it
+    stands for. A level is folded while
+      - 2u^2 is at most its positions p, so the remap and the distinct
+        products cost less than multiplying every position;
+      - p is at least B, below which multiplying the positions costs less
+        than the fold's fixed steps;
+      - the tables and one block of rows at the level fit _GATHER_BYTES, or
+        take no more than they and one block did a level lower.
+    Returns (words, ids, pad, pieces): words[l], the table of level l up
+    to the top folded level L; ids (R, ceil(n / 2^L)), the ids of level L;
+    pad, the id of its all-pad word, which the positions past the rows'
+    end hold; and pieces[l] = ids_l[:, flat[l]] for l < L, the checkpoint
+    pieces `_tree` reads (none if flat is None), so no lower level's ids
+    are kept.
+    """
+    R, d = len(rows), table.dim
+    words, ids, pad, pieces = [table.units], rows, table.pad, []
+    held, least = 0, R * _block_bytes(B, B, d)  # the tables' bytes; they and one block's
+    for level in range(1, B.bit_length()):
+        u, width = len(words[-1]), B >> level
+        positions = R * count * width
+        if 2 * u * u > positions or positions < B:
+            break
+        key = ids[:, 0::2] * u
+        half = ids.shape[1] // 2
+        key[:, :half] += ids[:, 1::2]
+        if half < key.shape[1]:
+            key[:, half:] += pad  # a lone last word pairs with the all-pad word
+        seen = np.zeros(u * u, dtype=bool)
+        seen[key] = True
+        if key.shape[1] < count * width:  # all-pad words fill the last block
+            seen[pad * u + pad] = True
+        pairs = seen.nonzero()[0]
+        grown = held + len(pairs) * d * d * 8
+        if grown + R * _block_bytes(B, width, d) > max(_GATHER_BYTES, least):
+            break
+        if flat is not None:
+            pieces.append(ids[:, flat[level - 1]])
+        left, right = np.divmod(pairs, u)
+        words.append(np.matmul(words[-1][left], words[-1][right]))
+        remap = np.zeros(u * u, dtype=np.intp)
+        remap[pairs] = np.arange(len(pairs))
+        ids = np.take(remap, key, out=key, mode="wrap")  # in place: each key is read, then replaced
+        pad, held = int(remap[pad * u + pad]), grown
+        least = held + R * _block_bytes(B, width, d)
+    return words, ids, pad, pieces
+
+
+def _padded(a: np.ndarray, start: int, stop: int, fill: int) -> np.ndarray:
+    """Columns start..stop-1 of the rows a, those past a's end set to fill;
+    a view where none is."""
+    part = a[:, start:stop]
+    if part.shape[1] == stop - start:
+        return part
+    out = np.full((len(a), stop - start), fill, dtype=a.dtype)
+    out[:, : part.shape[1]] = part
+    return out
+
+
+def _tree(words: list, ids: np.ndarray, S: np.ndarray, marks=None):
+    """Products of the factor blocks whose aligned words of level L are the
+    ids (R, K, B >> L) into words[L], L = len(words) - 1, and whose
+    factors' log sums are S (R, K, B), B a power of two, reduced pairwise
+    from level L up, as units of entry sum 1 and their log scales; and
+    likewise, given marks = (blocks, offsets, pieces, odd), the products of
+    the first offsets[j] (1..B) factors of block blocks[j]. A prefix of o
+    factors is read from the dyadic pieces while the levels form: for each
+    set bit l of o (odd[l]), piece (o >> l) - 1 of level l multiplies it
+    on the left. pieces[l] holds those pieces: below L the ids (R, J) of
+    their words, from L up their indices (J,) among the level's positions
+    in these blocks, so no level is kept. A raw product of at most B sum-1
     factors has sum <= 1 and every structurally positive entry >= q^B, so
-    it needs no renormalisation before it is complete. A structurally
-    zero product has unit 0."""
-    R, _, B = idx.shape
-    d, levels = table.dim, B.bit_length()
-    top = _word_level(table, B)
-    ids = [idx]
-    for level in range(top):
-        ids.append(ids[-1][..., 0::2] * len(table.words[level]) + ids[-1][..., 1::2])
-    P, S = table.words[top][ids[top]], table.log_sums[idx]
-    eye = np.eye(d)
-    heads, head_logs = np.broadcast_to(eye, (R, len(blocks), d, d)), np.zeros((R, 0))
-    if len(blocks):
-        # per level l and prefix length o: the flat index of piece (o >> l) - 1, and bit l of o
-        shifts = offsets >> np.arange(levels)[:, None]
-        flat = blocks * (B >> np.arange(levels))[:, None] + np.maximum(shifts - 1, 0)
-        odd = (shifts & 1 == 1)[..., None, None]
+    it needs no renormalisation before it is complete. A structurally zero
+    product has unit 0."""
+    R, _, B = S.shape
+    top, levels, d = len(words) - 1, B.bit_length(), words[0].shape[-1]
+    P = words[top][ids]
+    heads = head_logs = None
+    if marks is not None:
+        blocks, offsets, pieces, odd = marks
+        eye = np.eye(d)
+        heads = np.broadcast_to(eye, (R, len(blocks), d, d))
         # cumulative log sums of each checkpoint block once, however many checkpoints it holds
         held, which = np.unique(blocks, return_inverse=True)
         head_logs = np.cumsum(S[:, held], axis=-1)[:, which, offsets - 1]
     for level in range(levels):
-        if len(blocks):
-            pieces = (table.words[level][ids[level].reshape(R, -1)[:, flat[level]]]
-                      if level < top else P.reshape(R, -1, d, d)[:, flat[level]])
-            heads = np.matmul(np.where(odd[level], pieces, eye), heads)
+        if marks is not None:
+            piece = (words[level][pieces[level]] if level < top
+                     else P.reshape(R, -1, d, d)[:, pieces[level]])
+            heads = np.matmul(np.where(odd[level], piece, eye), heads)
         if top <= level < levels - 1:
             P = np.matmul(P[..., 0::2, :, :], P[..., 1::2, :, :])
-    if len(blocks):
+    if marks is not None:
         head_logs = head_logs + _normalised(heads)
     P = P[..., 0, :, :]
     return P, S.sum(axis=-1) + _normalised(P), heads, head_logs
 
 
-def _word_level(table: _FactorTable, B: int) -> int:
-    """Word level L' that blocks of B factors read: the top table level,
-    or log2(B) if that is lower."""
-    return min(len(table.words) - 1, B.bit_length() - 1)
-
-
 def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
     """Exact running supports carry . S_0 ... S_k for every block k along
-    axis 1, by doubling over 0/1 floats clipped at 1."""
+    axis 1, by doubling over 0/1 floats clipped at 1; sups is
+    overwritten."""
     k = 1
     while k < sups.shape[1]:
-        step = np.minimum(np.matmul(sups[:, :-k], sups[:, k:]), 1.0)
-        sups = np.concatenate([sups[:, :k], step], axis=1)
+        np.minimum(np.matmul(sups[:, :-k], sups[:, k:]), 1.0, out=sups[:, k:])
         k *= 2
-    return np.minimum(np.matmul(carry[:, None], sups), 1.0)
+    out = np.matmul(carry[:, None], sups)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
@@ -317,35 +387,39 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
     """Products of the factor rows (R, n) of table indices, one per row.
 
     Each row is padded with the identity slot to whole blocks of B
-    factors; the blocks are reduced by `_tree` and chained in order,
-    vectorised across rows, with the running support an exact boolean
-    product, so a row takes ceil(n/B) chain steps whatever the
-    checkpoints. Returns (values, zero, unit, log_scale, support):
-    values[r, i] is the log entry-sum norm after checkpoints[i] factors
-    (increasing, in 1..n), read as the chained unit before its block
-    times the block's prefix up to it (-inf from the first structural
-    zero on), zero[r] that first zero (0 if none), and
+    factors. `_fold` forms the words that occur in the rows once, over all
+    rows and blocks; the blocks are reduced from its top level by `_tree`
+    and chained in order, vectorised across rows, with the running support
+    an exact boolean product, so a row takes ceil(n/B) chain steps
+    whatever the checkpoints. Returns (values, zero, unit, log_scale,
+    support): values[r, i] is the log entry-sum norm after checkpoints[i]
+    factors (increasing, in 1..n), read as the chained unit before its
+    block times the block's prefix up to it (-inf from the first
+    structural zero on), zero[r] that first zero (0 if none), and
     exp(log_scale) * unit the product with its exact support. Blocks are
-    taken in chunks whose gathered words (B >> L' matrices a block) fit
-    _GATHER_BYTES, and the log scale runs through one cumulative sum
-    started from the carried one, so no result depends on where chunks
-    split. Batches of many rows are sized by `_reduce_groups`.
+    taken in chunks whose allocations (`_block_bytes`), with the word
+    tables, fit _GATHER_BYTES, and the log scale runs through one
+    cumulative sum started from the carried one, so no result depends on
+    where chunks split. Batches of many rows are sized by
+    `_reduce_groups`.
     """
     R, n = rows.shape
     d = table.dim
     B = _row_block(table, n)
     count = -(-n // B)
-    blocks = np.concatenate([rows, np.full((R, count * B - n), table.pad)], axis=1)
-    blocks = blocks.reshape(R, count, B)
     cps = np.asarray(checkpoints, dtype=np.int64)
     cp_block = (cps - 1) // B
+    offsets = cps - cp_block * B
+    flat, odd = _pieces(cp_block, offsets, B) if len(cps) else (None, None)
+    words, ids, pad, pieces = _fold(table, rows, B, count, flat)
+    width = B >> (len(words) - 1)
+    chunk = _chunk_blocks(R, B, width, d, sum(w.nbytes for w in words[1:]))
 
     values = np.full((R, len(cps)), _NEG_INF)
     zero = np.zeros(R, dtype=np.int64)
     unit = np.tile(np.eye(d), (R, 1, 1))
     sup = unit.copy()  # 0/1 floats: the exact running support
     acc = np.zeros(R)
-    chunk = max(1, _GATHER_BYTES // (R * 8 * (B >> _word_level(table, B)) * d * d))
     for j0 in range(0, count, chunk):
         alive = zero == 0
         if not alive.any():
@@ -354,19 +428,31 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
         c0, c1 = np.searchsorted(cp_block, [j0, j1])
         here = cps[c0:c1]
         k_cp = cp_block[c0:c1] - j0
-        units, logs, heads, head_logs = _tree(table, blocks[:, j0:j1], k_cp,
-                                              here - (k_cp + j0) * B)
+        marks = None
+        if len(here):
+            # the checkpoint pieces: word ids below the top folded level, and
+            # from it up positions among the levels of this chunk's blocks
+            shift = j0 * (B >> np.arange(len(pieces), B.bit_length()))[:, None]
+            marks = (k_cp, offsets[c0:c1],
+                     [p[:, c0:c1] for p in pieces] + list(flat[len(pieces):, c0:c1] - shift),
+                     odd[:, c0:c1])
+        factors = _padded(rows, j0 * B, j1 * B, table.pad)
+        top = factors if ids is rows else _padded(ids, j0 * width, j1 * width, pad)
+        units, logs, heads, head_logs = _tree(
+            words, top.reshape(R, -1, width), table.log_sums[factors].reshape(R, -1, B), marks)
         sups = _support_prefix(sup, (units > 0).astype(float))
         live = sups.any(axis=(-2, -1))  # per row, a run of True then False
         chain = np.empty((j1 - j0 + 1, R, d, d))  # the unit before each block, and after the last
         chain[0] = unit
-        sums = np.empty_like(logs)
+        sums = np.empty((j1 - j0, R))
+        blocks = units.swapaxes(0, 1)
         # a dead row's float product is exactly zero, and nan once divided
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(j1 - j0):
-                np.matmul(chain[k], units[:, k], out=chain[k + 1])
-                sums[:, k] = s = chain[k + 1].sum(axis=(1, 2))
-                chain[k + 1] /= s[:, None, None]
+            for k in range(j1 - j0):  # ufuncs called directly: one step a block
+                np.matmul(chain[k], blocks[k], out=chain[k + 1])
+                np.add.reduce(chain[k + 1], axis=(1, 2), out=sums[k])
+                np.divide(chain[k + 1], sums[k, :, None, None], out=chain[k + 1])
+            sums = sums.T
             # the log scale before each block and after the last, carried from acc
             steps = np.cumsum(np.concatenate([acc[:, None], logs + np.log(sums)], axis=1), axis=1)
             if len(here):
@@ -374,8 +460,8 @@ def _reduce(table: _FactorTable, rows: np.ndarray, checkpoints: Sequence[int] = 
                 head_values = steps[:, k_cp] + head_logs + np.log(head_sums)
         for r in np.flatnonzero(alive & ~live[:, -1]):
             k = int(np.argmin(live[r]))
-            zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r], blocks[r, j0 + k],
-                                  (j0 + k) * B)
+            zero[r] = _first_zero(table, sups[r, k - 1] if k else sup[r],
+                                  factors[r, k * B : (k + 1) * B], (j0 + k) * B)
         ends = np.minimum(np.arange(j0 + 1, j1 + 1) * B, n)
         if len(here):
             head_live = (zero == 0)[:, None] | (here < zero[:, None])

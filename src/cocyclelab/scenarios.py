@@ -25,7 +25,7 @@ from .cocycles import (
 from .errors import ConfigError
 from .textform import typed
 from .returns import return_formula_estimate, select_marker, periodic_exponent
-from .spectrum import WeightedAverageSpec, spectrum_curve, spectrum_to_csv
+from .spectrum import WeightedAverageSpec, _beta_grid, spectrum_curve, spectrum_to_csv
 from .words import (
     Alphabet,
     BernoulliMeasure,
@@ -312,7 +312,7 @@ def _step_mass(parts, config, artifacts, files):
 
 
 def _step_spectrum(parts, config, artifacts, files):
-    betas = np.linspace(config["beta_min"], config["beta_max"], config["beta_count"])
+    betas = _beta_grid(config["beta_min"], config["beta_max"], config["beta_count"])
     points = spectrum_curve(parts["weighted"], betas, horizon=config["horizon"])
     errs = []
     dim0 = None

@@ -129,6 +129,17 @@ class SpectrumPoint:
     in_domain: bool       # False when dim < -1e-6 (outside the spectrum)
 
 
+def _beta_grid(beta_min: float, beta_max: float, count: int) -> np.ndarray:
+    """count evenly spaced betas from beta_min to beta_max; bounds that are
+    not finite or a count below 1 raise DomainError before np.linspace
+    spans them."""
+    if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
+        raise DomainError("beta must be finite")
+    if count < 1:
+        raise DomainError(f"beta count must be >= 1, got {count}")
+    return np.linspace(beta_min, beta_max, count)
+
+
 def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int,
                    h: float | None = None) -> list[SpectrumPoint]:
     """Dimension spectrum along a beta grid.

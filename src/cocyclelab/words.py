@@ -272,7 +272,7 @@ class SubstitutionSource(WordSource):
 
     def __init__(self, rules: Mapping[int, Sequence[int] | str], seed_letter: int, alphabet: Alphabet):
         super().__init__(alphabet)
-        self.seed_letter = int(seed_letter)
+        self.seed_letter = int(_as_symbol_array([seed_letter], alphabet)[0])
         self.rules = {}
         for sym in range(alphabet.size):
             if sym not in rules:
@@ -595,15 +595,19 @@ class BlockProgram:
 
 class BlockScheduleSource(WordSource):
     """The word a block program describes: its head, then block_fn(1),
-    block_fn(2), ...; an empty block raises InvalidProgramError."""
+    block_fn(2), ...; an empty block raises InvalidProgramError, and a
+    symbol outside the alphabet DomainError."""
 
     def __init__(self, program: BlockProgram):
         super().__init__(program.alphabet)
         self.program = program
+        # the blocks built so far, and the end of the word through them that
+        # the cache does not hold: a longer prefix resumes from the next block
+        self._blocks, self._spill = 0, program.head
 
     def _materialize(self, n):
-        parts = [self.program.head]
-        total, j = len(parts[0]), 0
+        parts = [self._spill]
+        total, j = len(self._cache) + len(self._spill), self._blocks
         while total < n:
             j += 1
             block = np.asarray(self.program.block_fn(j))
@@ -611,7 +615,10 @@ class BlockScheduleSource(WordSource):
                 raise InvalidProgramError(f"block program produced an empty block at index {j}")
             parts.append(block)
             total += block.size
-        return np.concatenate(parts)[:n]
+        # the new symbols are checked before the state moves past them
+        word = np.concatenate([self._cache, _as_symbol_array(np.concatenate(parts), self.alphabet)])
+        self._blocks, self._spill = j, word[n:].copy()
+        return word[:n]
 
     def describe(self):
         if self.program.description is None:
@@ -708,7 +715,8 @@ def _paired_growth_blocks(d: Mapping, alphabet: Alphabet) -> _Preset:
 
     def block(j: int) -> np.ndarray:
         n = (j + 1) // 2
-        return first.prefix(n).symbols if j % 2 else second.prefix(n).symbols + offset
+        # the shift in a wide integer, so a sum past the alphabet is refused, not wrapped
+        return first.prefix(n).symbols if j % 2 else second.prefix(n).symbols + np.intp(offset)
 
     return "", block
 

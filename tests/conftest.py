@@ -244,3 +244,20 @@ def naive_positivity(spec, max_ell):
             if naive_support(spec, window, ell).all():
                 return window, ell, float(naive_product(spec, window, ell).min())
     return None
+
+
+def assert_same_bytes(got, want):
+    """Two tuples of arrays agree in dtype, shape and every byte."""
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def unfolded_reduce(table, rows, checkpoints=()):
+    """The product kernel with no word level folded: every position's
+    product is formed, the reference for the folded word tables."""
+    from cocyclelab import cocycles
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cocycles, "_fold",
+                  lambda table, rows, *rest: ([table.units], rows, table.pad, []))
+        return cocycles._reduce(table, rows, checkpoints)

@@ -137,6 +137,24 @@ def test_spectrum_with_a_nan_beta_exit_3(files, tmp_path):
     assert not (tmp_path / "s" / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_spectrum_with_no_beta_exit_3(count, files, tmp_path, capsys):
+    assert main(["spectrum", "--spec", files["bes.wavg"], "--beta-count", count,
+                 "--out", str(tmp_path / "s")]) == 3
+    assert f"beta count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("seed_letter", [-1, 2])
+def test_trace_on_a_seed_letter_outside_the_alphabet_exit_3(seed_letter, files, tmp_path, capsys):
+    path = tmp_path / "seed.source"
+    path.write_text(textform.dumps("source", {**textform.loads(TM_SOURCE)[1],
+                                              "seed_letter": seed_letter}))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                 "--horizon", "64", "--out", str(tmp_path / "t")]) == 3
+    assert f"symbol {seed_letter} outside alphabet of size 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bound", ["--beta-min=inf", "--beta-min=-inf",
                                    "--beta-max=inf", "--beta-max=-inf"])
 def test_spectrum_with_an_infinite_beta_exit_3(bound, files, tmp_path, capsys):

@@ -8,17 +8,19 @@ import pytest
 
 import cocyclelab as cl
 from cocyclelab import scenarios, textform, words
-from cocyclelab.cocycles import _factor_table
-from cocyclelab.errors import DomainError, InsufficientContextError, RangeError
+from cocyclelab.cocycles import _factor_table, _reduce
+from cocyclelab.errors import DomainError, InsufficientContextError, RangeError, UnderflowError_
 from cocyclelab.matrices import NonNegMatrix, ScaledProduct
 
 from conftest import (
+    assert_same_bytes,
     naive_observed_witness,
     naive_positivity,
     naive_product,
     random_positive,
     random_sparse_nonneg,
     reference_cocycle_table,
+    unfolded_reduce,
     word,
 )
 
@@ -101,11 +103,14 @@ def test_stacked_table_build_matches_key_by_key_reference(m, depth, d, form, hol
     spec = cl.CocycleSpec(alphabet, depth, table, default=default)
     ref = reference_cocycle_table(alphabet, depth, table, default=default)
     want = _factor_table(np.stack([mat.entries for mat in ref.matrices]))
-    assert len(spec._table.words) == len(want.words)
-    for got, expected in zip(spec._table.words, want.words):
+    for got, expected in zip(spec._table, want):
         np.testing.assert_array_equal(got, expected)
-    for got, expected in zip(spec._table[1:], want[1:]):
-        np.testing.assert_array_equal(got, expected)
+    # the folded kernel on the built table, byte for byte the positional one on the reference
+    n = 3 * want.block + 5
+    rows = rng.integers(0, len(ref.matrices), (2, n))
+    cps = np.unique(rng.integers(1, n + 1, 20))
+    assert_same_outcome(lambda: _reduce(spec._table, rows, cps),
+                        lambda: unfolded_reduce(want, rows, cps))
     assert (spec.entry_floor, spec.a_upper, spec.dim) == (ref.entry_floor, ref.a_upper, d)
     assert len(spec.matrices) == len(ref.matrices)
     for got, expected in zip(spec.matrices, ref.matrices):
@@ -113,6 +118,19 @@ def test_stacked_table_build_matches_key_by_key_reference(m, depth, d, form, hol
         np.testing.assert_array_equal(got.support, expected.support)
     assert spec.describe() == ref.describe
     assert textform.dumps("cocycle", spec.describe()) == textform.dumps("cocycle", ref.describe)
+
+
+def assert_same_outcome(run, reference):
+    """Both kernel runs give the same bytes, or both raise the same error at
+    the same position (sparse random tables can underflow mid-product)."""
+    try:
+        want = reference()
+    except UnderflowError_ as err:
+        with pytest.raises(UnderflowError_) as got:
+            run()
+        assert got.value.position == err.position
+    else:
+        assert_same_bytes(run(), want)
 
 
 NAN, INF = float("nan"), float("inf")

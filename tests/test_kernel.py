@@ -2,9 +2,10 @@
 fall against the block grid, checkpoints on and off block edges and at
 every position, entry ranges that shrink the block to one factor, the
 block-size rule, dense d = 16 tables, batches that mix zero and nonzero
-rows, 60-digit fidelity, a memory bound, thread safety, word tables that
-give the factor-by-factor results bit for bit, and results that do not
-depend on where chunks split."""
+rows, 60-digit fidelity, a memory bound, thread safety, folded word
+tables that give the positional results byte for byte (random, Thue-Morse,
+periodic and rotation rows), the word count of a Thue-Morse trace, and
+results that do not depend on where chunks split."""
 
 import sys
 import tracemalloc
@@ -18,7 +19,13 @@ from cocyclelab import cocycles
 from cocyclelab.errors import UnderflowError_
 from cocyclelab.matrices import ScaledProduct
 
-from conftest import mp_log_entry_sum, naive_first_zero, random_positive
+from conftest import (
+    assert_same_bytes,
+    mp_log_entry_sum,
+    naive_first_zero,
+    random_positive,
+    unfolded_reduce,
+)
 
 A2, A3 = cl.Alphabet(2), cl.Alphabet(3)
 SHIFT = [[0.0, 1.0], [0.0, 0.0]]  # nilpotent: two in a row give zero
@@ -373,31 +380,78 @@ def word_table_spec(rng, d, depth, m):
     return cl.CocycleSpec(cl.Alphabet(m), depth, table)
 
 
-def assert_same_bytes(got, want):
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
 @pytest.mark.parametrize("d, depth, m", [(1, 1, 2), (1, 3, 2), (2, 1, 2), (2, 3, 2),
                                           (4, 1, 3), (4, 3, 2), (16, 1, 2), (16, 3, 1)])
 def test_word_tables_give_the_factor_by_factor_results_bit_for_bit(d, depth, m):
     rng = np.random.default_rng([d, depth, m])
     spec = word_table_spec(rng, d, depth, m)
-    full = spec._table
-    top = len(full.words) - 1
-    assert top >= 1
-    flat = full._replace(words=full.words[:1])  # level 0: every factor gathered and multiplied
-    B, w = full.block, 1 << top
-    for n in (3, w + 1, 3 * B + 5):  # no multiple of 2^L, nor of B
+    table = spec._table
+    B = table.block
+    edges = [e for j in range(B.bit_length()) for e in ((1 << j) - 1, (1 << j) + 1)]
+    folded = 0
+    for n in (3, 33, 3 * B + 5):  # no multiple of B, nor of most word lengths
         dying = m > 1 and n > B + 3
         rows, t = word_table_rows(spec, n, dying, seed=n)
         cps = np.unique(np.concatenate([rng.integers(1, n + 1, 40),
-                                        [1, 3, w - 1, w + 1, B - 1, B + 1, B + 3, n]]))
+                                        [1, 3, B - 1, B + 1, B + 3, n], edges]))
         cps = cps[(cps >= 1) & (cps <= n)]
-        got = cocycles._reduce(full, rows, cps)
-        assert_same_bytes(got, cocycles._reduce(flat, rows, cps))
+        got = cocycles._reduce(table, rows, cps)
+        assert_same_bytes(got, unfolded_reduce(table, rows, cps))
         zero = got[1]
         assert zero[-1] == (t or 0) and not zero[:-1].any()
+        folded = max(folded, len(fold_words(table, rows)) - 1)
+    assert folded >= 1
+
+
+def fold_words(table, rows):
+    """The word tables `_reduce` folds for the rows."""
+    B = cocycles._row_block(table, rows.shape[1])
+    return cocycles._fold(table, rows, B, -(-rows.shape[1] // B), None)[0]
+
+
+def tm_rows(spec, n):
+    source = cl.SubstitutionSource({0: "01", 1: "10"}, 0, spec.alphabet)
+    return spec.factor_indices(source.prefix(n + spec.depth - 1).symbols, 0, n)[None]
+
+
+def periodic_rows(spec, n):
+    cycle = cl.FiniteWord("0010110", spec.alphabet).symbols
+    return cocycles._rotation_rows(cocycles._period_indices(spec, cycle)[None], n, [3])
+
+
+def rotation_rows(spec, n):  # every rotation of two periods, one row each
+    cycles = [cl.FiniteWord(text, spec.alphabet).symbols for text in ("0010110", "0111011")]
+    periods = np.stack([cocycles._period_indices(spec, c) for c in cycles])
+    return cocycles._rotation_rows(periods, n, np.arange(periods.size))
+
+
+@pytest.mark.parametrize("rows_of", [tm_rows, periodic_rows, rotation_rows])
+@pytest.mark.parametrize("d, depth", [(2, 1), (4, 3), (16, 1), (2, 9)])
+def test_folded_words_of_structured_rows_match_the_positional_path(rng, rows_of, d, depth):
+    spec = word_table_spec(rng, d, depth, 2)
+    table = spec._table
+    B = table.block
+    for n in (B // 2 + 3, 5 * B + 7):
+        rows = rows_of(spec, n)
+        cps = np.unique(np.concatenate([rng.integers(1, n + 1, 30), [1, B, n]]))
+        cps = cps[cps <= n]
+        assert_same_bytes(cocycles._reduce(table, rows, cps), unfolded_reduce(table, rows, cps))
+    if depth < 9:  # the 2^9 + 1 units of the depth-9 table are too many to fold here
+        assert len(fold_words(table, rows)) > 1
+
+
+def test_thue_morse_d16_trace_forms_at_most_three_words_a_level(rng, monkeypatch):
+    spec = cl.CocycleSpec(A2, 1, {"0": random_positive(rng, 16), "1": random_positive(rng, 16)})
+    B = spec._table.block
+    n = 125 * B + B // 2  # the last block half padding: one pad word a level
+    folds, inner = [], cocycles._fold
+    monkeypatch.setattr(cocycles, "_fold", lambda *args: folds.append(inner(*args)) or folds[-1])
+    source = cl.SubstitutionSource({0: "01", 1: "10"}, 0, A2)
+    cl.lyapunov_trace(spec, source, cl.geometric_checkpoints(8, n))
+    (words, ids, _, _), = folds
+    assert len(words) == B.bit_length()  # folded up to whole blocks
+    assert [len(w) for w in words] == [3] * len(words)
+    assert ids.shape == (1, -(-n // B))
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])
@@ -410,7 +464,6 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, d):
     cps = np.unique(rng.integers(1, n + 1, 60))
     whole = cocycles._reduce(spec._table, rows, cps)
     assert whole[1][-1] == t
-    words = B >> cocycles._word_level(spec._table, B)  # gathered per block
     for blocks in (1, 2, 3):  # blocks per chunk
-        monkeypatch.setattr(cocycles, "_GATHER_BYTES", blocks * len(rows) * words * d * d * 8)
+        monkeypatch.setattr(cocycles, "_chunk_blocks", lambda *sizes: blocks)
         assert_same_bytes(cocycles._reduce(spec._table, rows, cps), whole)

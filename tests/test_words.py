@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,32 @@ def test_block_schedule_total_length_recurrence():
             u = u + [2]
         rebuilt.extend(u + u)
     assert prefix.to_text() == "".join(str(s) for s in rebuilt)[:total]
+
+
+def test_growing_block_schedule_prefixes_resume_from_the_last_block():
+    calls = []
+    program = words.triple_growth_program(cl.EpochSchedule(kind="geometric"))
+    block_fn = program.block_fn
+    counted = dataclasses.replace(program, block_fn=lambda j: calls.append(j) or block_fn(j))
+    source = cl.BlockScheduleSource(counted)
+    for n in (10_000, 30_000, 100_000):
+        source.prefix(n)
+    # every block once, up to the one that reaches 1e5; rebuilt from block 1
+    # on each read, the three reads made 480 calls
+    assert calls == list(range(1, 259))
+    assert source.prefix(100_000) == cl.BlockScheduleSource(program).prefix(100_000)
+    source.prefix(100_001)  # still inside block 258, which the source kept
+    assert len(calls) == 258
+
+
+def test_paired_growth_offset_past_the_alphabet_is_refused_not_wrapped():
+    # symbol 60 of the second word shifted by 200 is 260, which a byte
+    # addition would wrap to the in-alphabet symbol 4
+    second = cl.PeriodicSource(cl.FiniteWord([60], cl.Alphabet(61)), cl.Alphabet(61))
+    program = words.paired_growth_program(cl.PeriodicSource("01", A2), second,
+                                          offset=200, alphabet_size=256)
+    with pytest.raises(DomainError, match="symbol 260 outside alphabet of size 256"):
+        cl.BlockScheduleSource(program).prefix(4)
 
 
 def test_empty_block_is_invalid():
