@@ -21,7 +21,7 @@ from .errors import (
     RangeError,
     UnderflowError_,
 )
-from .matrices import NonNegMatrix, ScaledProduct, as_matrix, log_norm_bounds
+from .matrices import NonNegMatrix, ScaledProduct, _floats, as_matrix, log_norm_bounds
 from .textform import field
 from .words import (
     Alphabet,
@@ -167,8 +167,8 @@ def _entry_stack(values: list) -> np.ndarray:
     first bad value, or that the dimensions differ."""
     raw = [v.entries if isinstance(v, NonNegMatrix) else v for v in values]
     try:
-        stack = np.asarray(raw, dtype=float)
-    except (ValueError, TypeError):  # ragged, or a value is not numeric
+        stack = _floats(raw, "matrix entries")
+    except DomainError:  # ragged, or a value is not a float
         stack = None
     if stack is None or stack.ndim != 3 or not 1 <= stack.shape[1] == stack.shape[2]:
         for v in raw:

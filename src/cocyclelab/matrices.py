@@ -24,8 +24,17 @@ from .errors import (
 MAX_DIM = 16  # phi() is an exhaustive O(d^4) scan; keep d small
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array; a ragged one, or one holding a value that
+    is no float, raises DomainError naming `what`, not a numpy error."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DomainError(f"{what} must form a rectangular array of floats") from exc
+
+
 def _check_entries(entries: np.ndarray) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    arr = _floats(entries, "matrix entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError("matrix must be square")
     if arr.shape[0] < 1:

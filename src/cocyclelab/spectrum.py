@@ -16,6 +16,7 @@ import numpy as np
 
 from .cocycles import CocycleSpec, _factor_table, _reduce_groups
 from .errors import DomainError, RangeError
+from .matrices import _floats
 from .returns import _periodic_exponents
 from .textform import field
 from .words import Alphabet, PeriodicSource, WordSource, source_from_description
@@ -34,12 +35,12 @@ class WeightedAverageSpec:
     weight_source: WordSource
 
     def __post_init__(self):
-        pot = np.asarray(self.potential, dtype=float)
+        pot = _floats(self.potential, "potential")
         if pot.ndim != 2 or pot.shape[0] != pot.shape[1] or pot.shape[0] < 2:
             raise DomainError("potential must be a q x q table with q >= 2")
         if not np.all(np.isfinite(pot)):
             raise DomainError("potential values must be finite")
-        w = np.asarray(self.weight_values, dtype=float).reshape(-1)
+        w = _floats(self.weight_values, "weight values").reshape(-1)
         if w.size < 1 or not np.all(np.isfinite(w)):
             raise DomainError("need at least one finite weight value")
         if self.weight_source.alphabet.size != w.size:
@@ -65,15 +66,11 @@ def _deformed(spec: WeightedAverageSpec, betas: np.ndarray) -> np.ndarray:
     RangeError at the first beta whose exponent could overflow."""
     if not np.all(np.isfinite(betas)):
         raise DomainError("beta must be finite")
-    peaks = np.abs(betas) * float(np.abs(spec.weight_values).max()) * float(
-        np.abs(spec.potential).max()
-    )
-    over = np.flatnonzero(peaks > _EXP_LIMIT)
-    if len(over):
-        raise RangeError(
-            f"|beta * v * f| reaches {peaks[over[0]]:.1f} > {_EXP_LIMIT}; "
-            "rescale the potential or weights"
-        )
+    v, f = float(np.abs(spec.weight_values).max()), float(np.abs(spec.potential).max())
+    for peak in (abs(beta) * v * f for beta in betas.tolist()):  # Python floats: inf, no warning
+        if not peak <= _EXP_LIMIT:
+            raise RangeError(f"|beta * v * f| reaches {peak:.1f} > {_EXP_LIMIT}; "
+                             "rescale the potential or weights")
     return np.exp((betas[:, None] * spec.weight_values)[:, :, None, None] * spec.potential)
 
 

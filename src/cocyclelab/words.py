@@ -27,7 +27,7 @@ from .errors import (
     InvalidProgramError,
     MarkerNotFoundError,
 )
-from .matrices import reachability
+from .matrices import _floats, reachability
 from .textform import field, typed
 
 MAX_ALPHABET = 256
@@ -55,7 +55,7 @@ def _texts(rows: np.ndarray, alphabet: Alphabet) -> list[str]:
 def _probabilities(values) -> np.ndarray:
     """values as floats whose last axis holds probability vectors: finite,
     non-negative and summing to 1 within 1e-12, else DomainError."""
-    arr = np.asarray(values, dtype=float)
+    arr = _floats(values, "probabilities")
     if arr.ndim == 0:
         raise DomainError("probabilities must form a vector")
     if not np.all(np.isfinite(arr)):
@@ -216,25 +216,18 @@ class WordSource(ABC):
         if n < 0:
             raise DomainError("prefix length must be non-negative")
         if n > len(self._cache):
-            self._cache = _as_symbol_array(self._materialize(n), self.alphabet)
+            new = _as_symbol_array(self._emit(n - len(self._cache)), self.alphabet)
+            self._cache = np.concatenate([self._cache, new]) if len(self._cache) else new
             self._cache.setflags(write=False)
         return FiniteWord._view(self._cache[:n], self.alphabet)
 
     @abstractmethod
-    def _materialize(self, n: int) -> np.ndarray:
-        """Return at least the first n symbols, unchecked: `prefix` checks
-        them against the alphabet once and caches all of them.
-
-        The seeded samplers redraw their stream from position 0 on every
-        call, so they return `_sample_length(n)` symbols: a prefix read one
-        symbol longer each time is then drawn O(log n) times, not n times.
-        Block schedules and the squarefree sieve return exactly n, since
-        one more block or sieve entry may be unbuildable or past capacity.
-        """
-
-    def _sample_length(self, n: int) -> int:
-        """n, or more than twice the cached length when that is larger."""
-        return max(n, 2 * len(self._cache) + 1)
+    def _emit(self, k: int) -> np.ndarray:
+        """At least the k symbols after the cache, unchecked, from the state
+        the source carries: `prefix` checks them once and appends them all,
+        so state that the cache does not fix must survive a failed check.
+        The samplers continue their stream past the cached length, so a
+        prefix read one symbol longer each time is drawn O(log n) times."""
 
     @abstractmethod
     def describe(self) -> dict:
@@ -250,9 +243,9 @@ class PeriodicSource(WordSource):
         if len(self.cycle) == 0:
             raise DomainError("periodic cycle must be nonempty")
 
-    def _materialize(self, n):
-        reps = -(-n // len(self.cycle))
-        return np.tile(self.cycle.symbols, reps)[:n]
+    def _emit(self, k):
+        s = len(self._cache) % len(self.cycle)  # where the cache ends in the cycle
+        return np.tile(self.cycle.symbols, (s + k) // len(self.cycle) + 1)[s : s + k]
 
     def describe(self):
         return {
@@ -288,24 +281,21 @@ class SubstitutionSource(WordSource):
             )
 
     def _expand(self, w: np.ndarray) -> np.ndarray:
-        lengths = np.array([len(self.rules[s]) for s in range(self.alphabet.size)])
-        out_len = int(lengths[w].sum())
-        starts = np.zeros(len(w), dtype=np.int64)
-        np.cumsum(lengths[w][:-1], out=starts[1:])
-        out = np.empty(out_len, dtype=np.uint8)
-        for sym, image in self.rules.items():
-            pos = np.flatnonzero(w == sym)
-            if pos.size == 0:
-                continue
-            idx = starts[pos][:, None] + np.arange(len(image))[None, :]
-            out[idx.reshape(-1)] = np.tile(image, pos.size)
-        return out
+        """sigma(w), read from the images laid end to end: output position t
+        falls in the image of w[i] and reads it at t - start_i + offset_i."""
+        images = list(self.rules.values())
+        sizes = np.array([len(image) for image in images])
+        lengths = sizes[w]
+        shift = (np.cumsum(sizes) - sizes)[w] - (np.cumsum(lengths) - lengths)  # offset_i - start_i
+        return np.concatenate(images)[np.repeat(shift, lengths) + np.arange(lengths.sum())]
 
-    def _materialize(self, n):
-        w = np.array([self.seed_letter], dtype=np.uint8)
-        while len(w) < n:
+    def _emit(self, k):
+        # the cache is a whole level sigma^j(seed), a prefix of every later level
+        start = len(self._cache)
+        w = self._cache if start else np.uint8([self.seed_letter])
+        while len(w) < start + k:
             w = self._expand(w)
-        return w[:n]
+        return w[start:]
 
     def describe(self):
         return {
@@ -321,7 +311,7 @@ class SubstitutionSource(WordSource):
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     # Philox is counter based: a fixed (seed, stream) key reproduces the
-    # stream from position 0, so prefixes of different lengths agree.
+    # stream, and consecutive draws continue it bit for bit as one draw.
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
@@ -343,11 +333,11 @@ class BernoulliMeasure:
 
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
         """n IID symbols drawn from the (seed, replica) Philox stream."""
-        u = _generator(seed, replica).random(n)
+        return self._symbols(_generator(seed, replica).random(n))
+
+    def _symbols(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.probabilities)
-        return np.minimum(
-            np.searchsorted(cum, u, side="right"), len(self.probabilities) - 1
-        ).astype(np.uint8)
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1).astype(np.uint8)
 
 
 class MarkovMeasure:
@@ -379,31 +369,35 @@ class MarkovMeasure:
 
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
         """First n states of a chain path started from `stationary`, drawn
-        from the (seed, replica) Philox stream.
+        from the (seed, replica) Philox stream."""
+        return self._path(_generator(seed, replica).random(n), None)
+
+    def _path(self, u: np.ndarray, state) -> np.ndarray:
+        """The states the uniform draws u lead to from `state`; from None,
+        u[0] picks the start state from `stationary`.
 
         Draw t moves the chain by the map "state -> next state" that
         row-wise `searchsorted` gives for u[t]; the path is the prefix
         composition of those maps, formed by doubling over chunks of a
         fixed byte size.
         """
-        u = _generator(seed, replica).random(max(n, 1))
+        m, out = len(self.transition), np.empty(len(u), dtype=np.uint8)
+        first = state is None and len(u) > 0
+        if first:
+            state = out[0] = min(int(np.searchsorted(np.cumsum(self.stationary), u[0], "right")), m - 1)
         cum_rows = np.cumsum(self.transition, axis=1)
-        m1 = len(self.transition) - 1
-        out = np.empty(n, dtype=np.uint8)
-        if n == 0:
-            return out
-        out[0] = min(int(np.searchsorted(np.cumsum(self.stationary), u[0], side="right")), m1)
-        chunk = max(1, _SCAN_BYTES // (8 * len(self.transition)))
-        for a in range(1, n, chunk):
+        chunk = max(1, _SCAN_BYTES // (8 * m))
+        for a in range(int(first), len(u), chunk):
             draws = u[a : a + chunk]
             # maps[t, s]: the state after draw a + t from state s
             maps = np.stack([np.searchsorted(row, draws, side="right") for row in cum_rows], axis=1)
-            np.minimum(maps, m1, out=maps)
+            np.minimum(maps, m - 1, out=maps)
             k = 1
             while k < len(maps):  # maps[t] becomes the composition of draws a..a+t
-                maps[k:] = np.take_along_axis(maps[k:], maps[:-k], axis=1)
+                maps[k:] = maps[k:].reshape(-1)[m * np.arange(len(maps) - k)[:, None] + maps[:-k]]
                 k *= 2
-            out[a : a + len(draws)] = maps[:, out[a - 1]]
+            out[a : a + len(draws)] = maps[:, state]
+            state = out[a + len(draws) - 1]
         return out
 
 
@@ -459,9 +453,10 @@ class BernoulliSource(WordSource):
         super().__init__(self.measure.alphabet)
         self.probabilities = self.measure.probabilities
         self.seed = int(seed)
+        self._stream = _generator(self.seed, 0)
 
-    def _materialize(self, n):
-        return self.measure.sample_symbols(self._sample_length(n), self.seed, 0)
+    def _emit(self, k):
+        return self.measure._symbols(self._stream.random(max(k, len(self._cache) + 1)))
 
     def describe(self):
         return {
@@ -481,9 +476,11 @@ class MarkovSource(WordSource):
         super().__init__(self.measure.alphabet)
         self.transition, self.initial = self.measure.transition, self.measure.stationary
         self.seed = int(seed)
+        self._stream = _generator(self.seed, 0)
 
-    def _materialize(self, n):
-        return self.measure.sample_symbols(self._sample_length(n), self.seed, 0)
+    def _emit(self, k):  # the path resumes from the last cached state
+        state = self._cache[-1] if len(self._cache) else None
+        return self.measure._path(self._stream.random(max(k, len(self._cache) + 1)), state)
 
     def describe(self):
         return {
@@ -499,8 +496,8 @@ class SquarefreeSource(WordSource):
     """Indicator of squarefree integers: symbol at position k is 1 iff k+1
     is squarefree (the 0/1 square of the Moebius function).
 
-    Backed by a boolean sieve of the declared capacity; asking past it is
-    an error carrying the required bound, never a silent truncation.
+    Each read sieves only the segment it appends; asking past the declared
+    capacity is an error carrying the required bound, never a truncation.
     """
 
     def __init__(self, capacity: int = 1 << 21):
@@ -508,23 +505,20 @@ class SquarefreeSource(WordSource):
         if capacity < 1:
             raise DomainError("capacity must be positive")
         self.capacity = int(capacity)
-        self._sieve = None
 
-    def _materialize(self, n):
-        if n > self.capacity:
-            raise CapacityError(
-                f"squarefree source sieved up to {self.capacity}; need capacity >= {n}",
-                required=n,
-            )
-        if self._sieve is None:
-            limit = self.capacity
-            flags = np.ones(limit + 1, dtype=bool)
-            flags[0] = False
-            for p in range(2, int(math.isqrt(limit)) + 1):
-                if flags[p * p]:  # p*p not yet struck by a smaller prime square
-                    flags[p * p :: p * p] = False
-            self._sieve = flags
-        return self._sieve[1 : n + 1].astype(np.uint8)
+    def _emit(self, k):
+        a, b = len(self._cache), len(self._cache) + k
+        if b > self.capacity:
+            raise CapacityError(f"squarefree source sieved up to {self.capacity}; "
+                                f"need capacity >= {b}", required=b)
+        primes = np.ones(math.isqrt(b) + 1, dtype=bool)  # the primes up to sqrt(b)
+        primes[:2] = False
+        for p in range(2, math.isqrt(len(primes) - 1) + 1):
+            primes[p * p :: p] = False
+        flags = np.ones(k, dtype=np.uint8)  # flags[i] is the symbol of a + 1 + i
+        for p in np.flatnonzero(primes).tolist():
+            flags[-(a + 1) % (p * p) :: p * p] = 0
+        return flags
 
     def describe(self):
         return {"kind": "squarefree", "alphabet": 2, "capacity": self.capacity}
@@ -601,24 +595,23 @@ class BlockScheduleSource(WordSource):
     def __init__(self, program: BlockProgram):
         super().__init__(program.alphabet)
         self.program = program
-        # the blocks built so far, and the end of the word through them that
-        # the cache does not hold: a longer prefix resumes from the next block
-        self._blocks, self._spill = 0, program.head
+        # the blocks built up to a cache length, for the length the cache has
+        # and the one it reaches if the emitted blocks pass the alphabet check
+        self._blocks = {0: 0}
 
-    def _materialize(self, n):
-        parts = [self._spill]
-        total, j = len(self._cache) + len(self._spill), self._blocks
-        while total < n:
+    def _emit(self, k):
+        start = len(self._cache)
+        j, parts = self._blocks[start], [] if start else [self.program.head]
+        total = sum(map(len, parts))
+        while total < k:
             j += 1
             block = np.asarray(self.program.block_fn(j))
             if block.size == 0:
                 raise InvalidProgramError(f"block program produced an empty block at index {j}")
             parts.append(block)
             total += block.size
-        # the new symbols are checked before the state moves past them
-        word = np.concatenate([self._cache, _as_symbol_array(np.concatenate(parts), self.alphabet)])
-        self._blocks, self._spill = j, word[n:].copy()
-        return word[:n]
+        self._blocks = {start: self._blocks[start], start + total: j}
+        return np.concatenate(parts)
 
     def describe(self):
         if self.program.description is None:

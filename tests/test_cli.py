@@ -263,6 +263,56 @@ def test_trace_on_a_number_list_with_a_string_exit_2(files, tmp_path):
                  "--horizon", "64", "--out", str(tmp_path / "o")]) == 2
 
 
+MARKOV = {"kind": "markov", "alphabet": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
+          "initial": [0.5, 0.5], "seed": 3}
+# a ragged or non-numeric array in each kind of description that holds arrays
+RAGGED_INPUTS = {
+    "cocycle-value": ("cocycle", {**textform.loads(POSITIVE_COCYCLE)[1], "matrices": {
+        "0": [3, [1.0, 1.0]], "1": [[1.0, 1.0], [1.0, 2.0]]}}),
+    "cocycle-block": ("cocycle", {**textform.loads(POSITIVE_COCYCLE)[1], "matrices": {
+        "0": [[2.0, 1.0], [1.0, 1.0]], "1": {}}}),
+    "markov-transition": ("source", {**MARKOV, "transition": [[0.5, 0.5], [1.0]]}),
+    "weighted-potential": ("weighted_average", {**textform.loads(BESICOVITCH)[1],
+                                                "potential": [[0.0, 1.0], [1.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", RAGGED_INPUTS)
+def test_a_ragged_or_non_numeric_array_exit_3(case, files, tmp_path, capsys):
+    block, data = RAGGED_INPUTS[case]
+    path = tmp_path / f"bad.{block}"
+    path.write_text(textform.dumps(block, data))
+    if block == "weighted_average":
+        argv = ["spectrum", "--spec", str(path), "--beta-count", "3"]
+    else:
+        inputs = {"cocycle": files["pos.cocycle"], "source": files["tm.source"], block: str(path)}
+        argv = ["trace", "--cocycle", inputs["cocycle"], "--source", inputs["source"],
+                "--horizon", "64"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert "must form a rectangular array of floats" in capsys.readouterr().err
+
+
+def test_spectrum_with_weights_past_the_exp_range_exit_3(tmp_path, capsys):
+    # warnings are errors under pytest, so this also fails on an overflow warning
+    path = tmp_path / "huge.wavg"
+    path.write_text(textform.dumps("weighted_average", {
+        **textform.loads(BESICOVITCH)[1], "weights": [1e308, -1.0],
+        "weight_source": {"kind": "periodic", "alphabet": 2, "cycle": "01"}}))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "s")]) == 3
+    assert "reaches inf > 700.0" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "spectrum.csv").exists()
+
+
+def test_trace_on_a_squarefree_source_of_unbounded_capacity(files, tmp_path):
+    # a read sieves what it appends, whatever capacity bounds it
+    path = tmp_path / "squarefree.source"
+    path.write_text(textform.dumps("source", {"kind": "squarefree", "alphabet": 2,
+                                              "capacity": 2**70}))
+    assert main(["trace", "--cocycle", files["pos.cocycle"], "--source", str(path),
+                 "--horizon", "1000", "--out", str(tmp_path / "t")]) == 0
+    assert (tmp_path / "t" / "trace.csv").exists()
+
+
 QUAD_COCYCLE = textform.dumps("cocycle", {
     "alphabet": 4, "depth": 1,
     "matrices": {str(a): [[1.0 + a, 1.0], [1.0, 2.0]] for a in range(4)},

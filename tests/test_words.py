@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,8 +122,20 @@ def _markov():
                            [0.2, 0.3, 0.5], seed=12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([_bernoulli, _markov]), st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+# one source of every kind; each read appends to the cache from carried state
+EVERY_KIND = [
+    lambda: cl.PeriodicSource("01101", A2),
+    lambda: cl.SubstitutionSource({0: "01", 1: "10"}, 0, A2),
+    lambda: cl.SubstitutionSource({0: "0121", 1: "2", 2: "10"}, 0, cl.Alphabet(3)),
+    _bernoulli,
+    _markov,
+    lambda: cl.SquarefreeSource(capacity=3000),
+    lambda: cl.BlockScheduleSource(words.triple_growth_program(cl.EpochSchedule(kind="geometric"))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(EVERY_KIND), st.lists(st.integers(0, 3000), min_size=1, max_size=12))
 def test_sampler_prefixes_match_a_fresh_source(make, lengths):
     src = make()
     for n in lengths:
@@ -131,11 +145,29 @@ def test_sampler_prefixes_match_a_fresh_source(make, lengths):
 @pytest.mark.parametrize("make", [_bernoulli, _markov])
 def test_growing_sampler_prefix_is_drawn_log_times(make):
     src, calls = make(), []
-    draw = src._materialize
-    src._materialize = lambda n: calls.append(n) or draw(n)
+    draw = src._emit
+    src._emit = lambda n: calls.append(n) or draw(n)
     for n in range(1, 2049):
         assert len(src.prefix(n)) == n
         assert len(calls) <= n.bit_length()  # floor(log2 n) + 1
+
+
+@pytest.mark.parametrize("make", [_bernoulli, _markov])
+def test_growing_sampler_prefix_draws_each_uniform_once(make, monkeypatch):
+    drawn, generator = [], words._generator
+
+    def counted(seed, stream):
+        gen = generator(seed, stream)
+        return SimpleNamespace(random=lambda n: drawn.append(n) or gen.random(n))
+
+    monkeypatch.setattr(words, "_generator", counted)
+    src = make()
+    for n in range(1, 2048):
+        src.prefix(n)
+    # the stream continues across reads: redrawn from position 0 on each
+    # read, the cache of 2047 symbols took 4083 draws
+    assert sum(drawn) == len(src._cache) == 2047
+    assert src.prefix(2047) == make().prefix(2047)
 
 
 def test_sieve_and_block_schedules_materialize_exact_lengths():
@@ -172,6 +204,20 @@ def _is_squarefree(n: int) -> bool:
             return False
         p += 1
     return True
+
+
+def test_squarefree_read_sieves_only_the_segment_it_appends():
+    src = cl.SquarefreeSource(capacity=1 << 24)
+    tracemalloc.start()
+    try:
+        got = src.prefix(1000).symbols
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a sieve of the whole capacity takes 16 MiB
+    assert peak < 0.1 * 2**20
+    assert got.tolist() == [int(_is_squarefree(k)) for k in range(1, 1001)]
+    assert cl.SquarefreeSource(capacity=2**70).prefix(1000) == src.prefix(1000)
 
 
 def test_squarefree_values_and_capacity():
@@ -262,6 +308,19 @@ def test_block_symbols_are_checked_before_any_cast():
                               lambda j: np.array([1, 258]))
     with pytest.raises(DomainError, match="symbol 258 outside alphabet of size 4"):
         cl.BlockScheduleSource(program).prefix(3)
+
+
+def test_block_read_that_fails_the_alphabet_check_leaves_the_source_as_it_was():
+    # block 2 holds a symbol outside the alphabet: every read through it
+    # raises, and none resumes past it as if it had been cached
+    program = cl.BlockProgram(A2, np.zeros(1, np.uint8),
+                              lambda j: np.full(j, 7 if j == 2 else 1, dtype=np.uint8))
+    source = cl.BlockScheduleSource(program)
+    assert source.prefix(2).to_text() == "01"
+    for _ in range(2):
+        with pytest.raises(DomainError, match="symbol 7 outside alphabet of size 2"):
+            source.prefix(5)
+    assert source.prefix(2).to_text() == "01"
 
 
 # --- occurrences ------------------------------------------------------------
@@ -565,7 +624,7 @@ class _StrayStream(cl.WordSource):
         super().__init__(A2)
         self.calls = 0
 
-    def _materialize(self, n):
+    def _emit(self, n):
         self.calls += 1
         return np.full(n, 2, dtype=np.uint8)
 
