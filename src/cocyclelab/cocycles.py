@@ -21,7 +21,14 @@ from .errors import (
     RangeError,
     UnderflowError_,
 )
-from .matrices import NonNegMatrix, ScaledProduct, _floats, as_matrix, log_norm_bounds
+from .matrices import (
+    NonNegMatrix,
+    ScaledProduct,
+    _floats,
+    _support_matmul,
+    as_matrix,
+    log_norm_bounds,
+)
 from .textform import field
 from .words import (
     Alphabet,
@@ -200,7 +207,10 @@ def _factor_table(factors: np.ndarray) -> _FactorTable:
     F, d = factors.shape[:2]
     units = np.concatenate([factors, np.eye(d)[None]])
     supports = units > 0
-    log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows: rejected below
+        log_sums = np.append(_normalised(units[:-1]), 0.0)  # the identity pad keeps log 0
+    if np.isinf(log_sums).any():
+        raise RangeError("a table matrix's entry sum overflows; rescale the table")
     block = _block_size(float(units[:-1][supports[:-1]].min()), d)
     return _FactorTable(units, log_sums, supports.astype(float), F, block, d)
 
@@ -368,10 +378,9 @@ def _support_prefix(carry: np.ndarray, sups: np.ndarray) -> np.ndarray:
     overwritten."""
     k = 1
     while k < sups.shape[1]:
-        np.minimum(np.matmul(sups[:, :-k], sups[:, k:]), 1.0, out=sups[:, k:])
+        _support_matmul(sups[:, :-k], sups[:, k:], out=sups[:, k:])
         k *= 2
-    out = np.matmul(carry[:, None], sups)
-    return np.minimum(out, 1.0, out=out)
+    return _support_matmul(carry[:, None], sups)
 
 
 def _first_zero(table: _FactorTable, sup: np.ndarray, block: np.ndarray, start: int) -> int:
@@ -550,8 +559,11 @@ def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> Sc
     if n == m:
         return ScaledProduct.empty(spec.dim)
     idx = spec.factor_indices(prefix.symbols, n, m)
-    _, _, unit, acc, sup = _reduce(spec._table, idx[None])
-    return ScaledProduct.from_raw(unit[0], sup[0] > 0, float(acc[0]), m - n)
+    _, zero, unit, acc, sup = _reduce(spec._table, idx[None])
+    if zero[0]:  # the kernel zeroed the unit
+        return ScaledProduct(spec.dim, unit[0], sup[0] > 0, _NEG_INF, m - n)
+    s = float(unit[0].sum())  # the kernel checked every live row's chain sum
+    return ScaledProduct(spec.dim, unit[0] / s, sup[0] > 0, float(acc[0]) + math.log(s), m - n)
 
 
 @dataclass(frozen=True)
@@ -791,8 +803,7 @@ def _support_steps(table: _FactorTable, support: np.ndarray, parent: np.ndarray,
     out = np.empty((len(parent), d, d))
     for c0 in range(0, len(parent), chunk):
         c1 = c0 + chunk
-        np.minimum(np.matmul(support[parent[c0:c1]], table.supports[factor[c0:c1]]), 1.0,
-                   out=out[c0:c1])
+        _support_matmul(support[parent[c0:c1]], table.supports[factor[c0:c1]], out=out[c0:c1])
     return out
 
 

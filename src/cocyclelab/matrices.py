@@ -2,7 +2,7 @@
 
 The quasi-multiplicativity constant, Birkhoff's contraction coefficient,
 reachability closures, the spectral radius from the irreducible class
-decomposition, and overflow-proof scaled products in the entry-sum norm.
+decomposition, and the scaled products the cocycle kernel returns.
 Every matrix carries an exact boolean support pattern alongside its
 float entries; zero detection is always structural, never a float
 threshold.
@@ -99,9 +99,11 @@ def as_matrix(B) -> NonNegMatrix:
     return NonNegMatrix(B)
 
 
-def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact boolean matrix product (OR of ANDs)."""
-    return np.matmul(a.astype(bool, copy=False), b.astype(bool, copy=False))
+def _support_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Exact support product of 0/1 float stacks, clipped back to 0/1; the
+    one support product of the library."""
+    prod = np.matmul(a, b, out=out)
+    return np.minimum(prod, 1.0, out=prod)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def elem_constant(P) -> float:
     P = as_matrix(P)
     if not bool(P.support.all()):
         raise NotPositiveError("elem_constant requires a strictly positive matrix")
-    return float(P.entries.min() / (P.dim * P.entries.max()))
+    return float(P.entries.min() / P.entries.max() / P.dim)  # d * max could overflow
 
 
 def phi(B) -> float:
@@ -164,9 +166,9 @@ def log_norm_bounds(n: int, a_star: float, a_upper: float, d: int) -> tuple[floa
 
 
 class ScaledProduct:
-    """Running matrix product kept at entry-sum 1, with the accumulated
-    log-scale stored separately, so log_norm always equals the log
-    entry-sum norm of the full product without overflow.
+    """Matrix product kept at entry-sum 1, with the accumulated log-scale
+    stored separately, so log_norm always equals the log entry-sum norm of
+    the full product without overflow; `cocycles.partial_product` forms it.
 
     The length-0 accumulator represents the empty product: its unit is the
     identity (not sum-normalized) and its log_norm is 0. The exact boolean
@@ -196,44 +198,15 @@ class ScaledProduct:
         nonzero entry has underflowed to float zero."""
         return NonNegMatrix(self.unit, self.support, _position=self.length)
 
-    @classmethod
-    def from_raw(cls, raw: np.ndarray, support: np.ndarray, log_scale: float,
-                 length: int) -> "ScaledProduct":
-        """Accumulator for exp(log_scale) * raw with the given exact support.
-
-        A structurally zero support gives the zero product; otherwise raw is
-        divided by its entry sum, which must be positive (else the product
-        underflowed) and finite (else it overflowed).
-        """
-        if not support.any():
-            return cls(raw.shape[0], np.zeros_like(raw), support, float("-inf"), length)
-        s = float(raw.sum())
-        if s == 0.0:
-            raise UnderflowError_(
-                "entry-sum collapsed to zero on a structurally nonzero product",
-                position=length,
-            )
-        if not math.isfinite(s):
-            raise RangeError("entry-sum overflowed; rescale the factors")
-        return cls(raw.shape[0], raw / s, support, log_scale + math.log(s), length)
-
-    def multiply(self, B) -> "ScaledProduct":
-        """Accumulator for (old product) . B."""
-        B = as_matrix(B)
-        if B.dim != self.dim:
-            raise DomainError("dimension mismatch")
-        sup = bool_matmul(self.support, B.support)
-        return ScaledProduct.from_raw(self.unit @ B.entries, sup, self.log_norm, self.length + 1)
-
 
 def reachability(supports: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of each boolean (..., d, d) support:
     reach[..., i, j] is True iff some path, possibly empty, leads from i to j."""
     d = supports.shape[-1]
-    reach = supports.astype(bool) | np.eye(d, dtype=bool)
+    reach = np.maximum(supports > 0, np.eye(d))
     for _ in range((d - 1).bit_length()):  # paths of every length up to 2^k >= d - 1
-        reach = bool_matmul(reach, reach)
-    return reach
+        reach = _support_matmul(reach, reach)
+    return reach > 0
 
 
 def spectral_radius(B) -> float:

@@ -238,16 +238,17 @@ def quasi_multiplicativity_check(spec: CocycleSpec, prefix: FiniteWord,
         raise DomainError(f"probe length must be >= |u| = {len(selection.u)}")
     decomp = decompose_returns(prefix, selection.v)
     r = spec.depth
-    taus = [int(t) for t in decomp.return_times if t + ell + r - 1 <= len(prefix)]
-    if not taus:
+    times = decomp.return_times
+    taus = times[times + ell + r - 1 <= len(prefix)]
+    if not len(taus):
         raise InsufficientContextError("no return time leaves room for the probe", required=ell)
-    gaps = _split_gaps(spec._table, spec.factor_indices(prefix.symbols, 0, taus[-1] + ell),
-                       taus, [t + ell for t in taus])
+    gaps = _split_gaps(spec._table, spec.factor_indices(prefix.symbols, 0, int(taus[-1]) + ell),
+                       taus, taus + ell)
     defined = ~np.isnan(gaps)
     if not defined.any():
         raise InsufficientContextError("every probe meets a structurally zero product",
                                        required=ell)
-    return QuasiMultiplicativityReport(np.array(taus)[defined], np.exp(gaps[defined]),
+    return QuasiMultiplicativityReport(taus[defined], np.exp(gaps[defined]),
                                        selection.c1, int(len(gaps) - defined.sum()))
 
 

@@ -67,10 +67,14 @@ def _deformed(spec: WeightedAverageSpec, betas: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(betas)):
         raise DomainError("beta must be finite")
     v, f = float(np.abs(spec.weight_values).max()), float(np.abs(spec.potential).max())
-    for peak in (abs(beta) * v * f for beta in betas.tolist()):  # Python floats: inf, no warning
-        if not peak <= _EXP_LIMIT:
-            raise RangeError(f"|beta * v * f| reaches {peak:.1f} > {_EXP_LIMIT}; "
-                             "rescale the potential or weights")
+    for beta in betas.tolist():  # Python floats: inf, no warning
+        scale = abs(beta) * v
+        if scale * f <= _EXP_LIMIT:
+            continue
+        if math.isinf(scale) and f == 0.0:  # inf * 0 is nan, and so are the matrices
+            raise RangeError(f"|beta * v| overflows at beta = {beta:.4g}; rescale the weights")
+        raise RangeError(f"|beta * v * f| reaches {scale * f:.4g} > {_EXP_LIMIT}; "
+                         "rescale the potential or weights")
     return np.exp((betas[:, None] * spec.weight_values)[:, :, None, None] * spec.potential)
 
 

@@ -8,10 +8,12 @@ import pytest
 
 from cocyclelab import (
     Alphabet,
+    CocycleSpec,
     FiniteWord,
     PeriodicSource,
     beta_cocycle,
     lyapunov_trace,
+    partial_product,
     periodic_exponent,
 )
 
@@ -62,6 +64,38 @@ def mp_log_entry_sum(factors) -> float:
             for j in range(acc.cols):
                 total += acc[i, j]
         return float(mpmath.log(total))
+
+
+def naive_scaled_steps(factors):
+    """(log entry-sum norm, boolean support) of each running product of the
+    factors, one step a factor: the running unit times the factor, divided
+    by its entry sum, whose log is added; -inf and a zero unit from the
+    first structurally zero product on."""
+    d = len(factors[0])
+    unit, sup, log_norm = np.eye(d), np.eye(d, dtype=bool), 0.0
+    out = []
+    for f in factors:
+        f = np.asarray(f, dtype=float)
+        sup = (sup.astype(int) @ (f > 0).astype(int)) > 0
+        raw = unit @ f
+        if not sup.any():
+            unit, log_norm = np.zeros_like(raw), float("-inf")
+        else:
+            s = float(raw.sum())
+            unit, log_norm = raw / s, log_norm + math.log(s)
+        out.append((log_norm, sup))
+    return out
+
+
+def kernel_product(factors):
+    """partial_product of the factors in order, each the matrix of its own
+    symbol in a depth-1 table; one more symbol, which the word never reads,
+    holds the identity, so a table of zero factors is a valid cocycle."""
+    d = len(factors[0])
+    spec = CocycleSpec(Alphabet(len(factors) + 1), 1,
+                       {(j,): f for j, f in enumerate([*factors, np.eye(d)])})
+    word = FiniteWord(np.arange(len(factors), dtype=np.uint8), spec.alphabet)
+    return partial_product(spec, word, 0, len(factors))
 
 
 def random_positive(rng, d, low=0.2, high=5.0):

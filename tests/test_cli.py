@@ -303,6 +303,52 @@ def test_spectrum_with_weights_past_the_exp_range_exit_3(tmp_path, capsys):
     assert not (tmp_path / "s" / "spectrum.csv").exists()
 
 
+def test_spectrum_past_the_exp_range_names_a_short_peak_exit_3(files, tmp_path, capsys):
+    assert main(["spectrum", "--spec", files["bes.wavg"], "--beta-max", "1.7e308",
+                 "--beta-count", "3", "--out", str(tmp_path / "s")]) == 3
+    # the grid -5, 8.5e307, 1.7e308 first passes the limit at its midpoint
+    assert capsys.readouterr().err == ("computation error: |beta * v * f| reaches 8.5e+307 > "
+                                       "700.0; rescale the potential or weights\n")
+
+
+def test_spectrum_on_a_zero_potential_with_overflowing_weights_exit_3(tmp_path, capsys):
+    # |beta * v| overflows to inf, and inf times the zero potential is nan
+    path = tmp_path / "zero.wavg"
+    path.write_text(textform.dumps("weighted_average", {
+        **textform.loads(BESICOVITCH)[1], "potential": [[0.0, 0.0], [0.0, 0.0]],
+        "weights": [1e308, -1.0],
+        "weight_source": {"kind": "periodic", "alphabet": 2, "cycle": "01"}}))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert "|beta * v| overflows at beta = -5;" in err and "nan" not in err
+    assert not (tmp_path / "s" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "returns"])
+def test_a_table_entry_sum_past_the_float_range_exit_3(command, files, tmp_path, capsys):
+    # finite entries whose sum overflows; warnings are errors under pytest
+    path = tmp_path / "huge.cocycle"
+    path.write_text(textform.dumps("cocycle", {**textform.loads(POSITIVE_COCYCLE)[1],
+                                               "matrices": {"0": [[1e308, 1e308], [1e308, 1e308]],
+                                                            "1": [[1.0, 1.0], [1.0, 2.0]]}}))
+    size = "--horizon" if command == "trace" else "--n"
+    assert main([command, "--cocycle", str(path), "--source", files["tm.source"], size, "512",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "entry sum overflows" in capsys.readouterr().err
+
+
+def test_returns_on_a_table_entry_near_the_float_limit(files, tmp_path):
+    # c(P) = min / max / d: d * max would overflow; warnings are errors under pytest
+    path = tmp_path / "big.cocycle"
+    path.write_text(textform.dumps("cocycle", {**textform.loads(POSITIVE_COCYCLE)[1],
+                                               "matrices": {"0": [[1e308, 1.0], [1.0, 1.0]],
+                                                            "1": [[1.0, 1.0], [1.0, 2.0]]}}))
+    assert main(["returns", "--cocycle", str(path), "--source", files["tm.source"],
+                 "--n", "4096", "--k0", "4", "--out", str(tmp_path / "r")]) == 0
+    selection = json.loads((tmp_path / "r" / "returns.json").read_text())["selection"]
+    assert selection["c1"] == 1.0 / 1e308 / 2 > 0.0
+
+
 def test_trace_on_a_squarefree_source_of_unbounded_capacity(files, tmp_path):
     # a read sieves what it appends, whatever capacity bounds it
     path = tmp_path / "squarefree.source"

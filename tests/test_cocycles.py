@@ -10,13 +10,14 @@ import cocyclelab as cl
 from cocyclelab import scenarios, textform, words
 from cocyclelab.cocycles import _factor_table, _reduce
 from cocyclelab.errors import DomainError, InsufficientContextError, RangeError, UnderflowError_
-from cocyclelab.matrices import NonNegMatrix, ScaledProduct
+from cocyclelab.matrices import NonNegMatrix
 
 from conftest import (
     assert_same_bytes,
     naive_observed_witness,
     naive_positivity,
     naive_product,
+    naive_scaled_steps,
     random_positive,
     random_sparse_nonneg,
     reference_cocycle_table,
@@ -288,15 +289,14 @@ def test_trace_envelope_invariant():
 
 
 def test_trace_matches_stepwise_scaled_product():
-    # the batched accumulator agrees with the public one-step multiply
+    # the batched accumulator agrees with the naive one-step scaled product
     spec = nolimit_spec()
     prefix = cl.BernoulliSource([0.25, 0.25, 0.25, 0.25], seed=11).prefix(300)
-    acc = ScaledProduct.empty(2)
-    for t in range(300):
-        acc = acc.multiply(spec.evaluate(prefix[t : t + 1]))
+    log_norm, support = naive_scaled_steps(
+        [spec.evaluate(prefix[t : t + 1]).entries for t in range(300)])[-1]
     batched = cl.partial_product(spec, prefix, 0, 300)
-    assert batched.log_norm == pytest.approx(acc.log_norm, rel=1e-12)
-    assert np.array_equal(batched.support, acc.support)
+    assert batched.log_norm == pytest.approx(log_norm, rel=1e-12)
+    assert np.array_equal(batched.support, support)
 
 
 def test_trace_shift_consistency_bounded():

@@ -11,8 +11,6 @@ from cocyclelab.errors import (
 )
 from cocyclelab.matrices import (
     NonNegMatrix,
-    ScaledProduct,
-    bool_matmul,
     reachability,
     spectral_radii,
 )
@@ -21,6 +19,7 @@ from conftest import (
     allowable,
     brute_phi,
     hilbert_distance,
+    kernel_product,
     mp_log_entry_sum,
     mp_spectral_radius,
     random_positive,
@@ -206,27 +205,25 @@ def test_reachability_is_the_reflexive_transitive_closure(rng):
         sup = rng.random((4, d, d)) < 0.2
         expect = np.eye(d, dtype=bool) | sup
         for _ in range(d):
-            expect = expect | bool_matmul(expect, sup)
+            expect = expect | ((expect.astype(int) @ sup.astype(int)) > 0)
         np.testing.assert_array_equal(reachability(sup), expect)
 
 
 def test_scaled_product_single_factor():
-    acc = ScaledProduct.empty(2).multiply([[1, 2], [3, 4]])
+    acc = kernel_product([[[1, 2], [3, 4]]])
     assert acc.log_norm == pytest.approx(math.log(10), abs=1e-15)
     np.testing.assert_allclose(acc.unit, np.array([[0.1, 0.2], [0.3, 0.4]]))
     assert acc.length == 1
 
 
 def test_scaled_product_30_diag_factors():
-    acc = ScaledProduct.empty(2)
-    for _ in range(30):
-        acc = acc.multiply(np.diag([10.0, 0.1]))
+    acc = kernel_product([np.diag([10.0, 0.1])] * 30)
     expect = math.log(10.0**30 + 10.0**-30)
     assert acc.log_norm == pytest.approx(expect, rel=1e-9)
 
 
 def test_scaled_product_nilpotent_pattern():
-    acc = ScaledProduct.empty(2).multiply([[0, 1], [0, 0]]).multiply([[0, 1], [0, 0]])
+    acc = kernel_product([[[0, 1], [0, 0]]] * 2)
     assert acc.is_zero
     assert acc.log_norm == float("-inf")
 
@@ -235,11 +232,7 @@ def test_scaled_product_vs_extended_precision(rng):
     for _ in range(30):
         d = int(rng.integers(2, 4))
         factors = [random_sparse_nonneg(rng, d, density=0.9, low=0.1, high=2.0) for _ in range(20)]
-        acc = ScaledProduct.empty(d)
-        for f in factors:
-            acc = acc.multiply(f)
-            if acc.is_zero:
-                break
+        acc = kernel_product(factors)
         if acc.is_zero:
             continue
         assert acc.log_norm == pytest.approx(mp_log_entry_sum(factors), rel=1e-11, abs=1e-11)
@@ -257,16 +250,14 @@ def test_support_soundness(rng):
         d = int(rng.integers(2, 5))
         A = NonNegMatrix(random_sparse_nonneg(rng, d, density=0.5))
         B = NonNegMatrix(random_sparse_nonneg(rng, d, density=0.5))
-        prod = ScaledProduct.empty(d).multiply(A).multiply(B)
-        expect = bool_matmul(A.support, B.support)
+        prod = kernel_product([A.entries, B.entries])
+        expect = (A.support.astype(int) @ B.support.astype(int)) > 0
         assert np.array_equal(prod.support, expect)
         assert np.array_equal(prod.unit > 0, expect)
 
 
 def test_underflow_raises_never_lies():
-    acc = ScaledProduct.empty(2)
-    for _ in range(200):
-        acc = acc.multiply(np.diag([10.0, 0.1]))
+    acc = kernel_product([np.diag([10.0, 0.1])] * 200)
     assert not acc.is_zero
     assert bool(acc.support[1, 1])  # the support still tells the truth
     with pytest.raises(UnderflowError_):
@@ -298,9 +289,7 @@ def test_log_norm_envelope_holds_for_random_products(rng):
         nz = np.concatenate([m.entries[m.support] for m in mats if not m.is_zero])
         if nz.size == 0:
             continue
-        acc = ScaledProduct.empty(d)
-        for m in mats:
-            acc = acc.multiply(m)
+        acc = kernel_product([m.entries for m in mats])
         if acc.is_zero:
             continue
         lo, hi = cl.log_norm_bounds(n, float(nz.min()), float(nz.max()), d)
@@ -310,10 +299,7 @@ def test_log_norm_envelope_holds_for_random_products(rng):
 def test_contraction_coefficient_on_growing_products(rng):
     # tau of the running unit matrix is how forward contraction is
     # observed; for positive factors it decays (no rate asserted)
-    acc = ScaledProduct.empty(3)
-    taus = []
-    for _ in range(12):
-        acc = acc.multiply(random_positive(rng, 3, low=0.5, high=2.0))
-        taus.append(cl.birkhoff_tau(acc.unit_matrix))
+    factors = [random_positive(rng, 3, low=0.5, high=2.0) for _ in range(12)]
+    taus = [cl.birkhoff_tau(kernel_product(factors[:k]).unit_matrix) for k in range(1, 13)]
     assert all(0.0 <= t <= 1.0 for t in taus)
     assert taus[-1] < 0.1 * taus[0]
