@@ -1,6 +1,7 @@
-"""Scenario registry: each entry builds a word source and a cocycle (or a
-weighted-average spec), runs its analysis steps in order through one step
-table, and grades the observed behavior against an expected qualitative tag.
+"""Scenario registry: each entry describes its parts (a word source and a
+cocycle, or a weighted-average spec) in the text form the CLI reads, runs
+its analysis steps in order through one step table, and grades the
+observed behavior against an expected qualitative tag.
 
 Tags: converges | oscillates | minus-infinity | condition-fails. The
 verdict is a pure function of the saved artifact document, so re-grading
@@ -10,8 +11,7 @@ a run's verdict.json reproduces the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,23 +25,8 @@ from .cocycles import (
 from .errors import ConfigError
 from .textform import typed
 from .returns import return_formula_estimate, select_marker, periodic_exponent
-from .spectrum import WeightedAverageSpec, _beta_grid, spectrum_curve, spectrum_to_csv
-from .words import (
-    Alphabet,
-    BernoulliMeasure,
-    BernoulliSource,
-    BlockScheduleSource,
-    EpochSchedule,
-    PeriodicSource,
-    SquarefreeSource,
-    SubstitutionSource,
-    decompose_returns,
-    long_word_mass,
-    prefix_doubling_program,
-    run_alternation_preset,
-    triple_growth_program,
-    paired_growth_program,
-)
+from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv, weighted_average_from_description
+from .words import decompose_returns, long_word_mass, source_from_description
 
 TAGS = ("converges", "oscillates", "minus-infinity", "condition-fails")
 
@@ -61,21 +46,100 @@ _ONES = [[1.0, 1.0], [1.0, 1.0]]
 _FIB = [[1.0, 1.0], [1.0, 0.0]]
 
 
+# --- part descriptions ------------------------------------------------------
+# A part is the description its reader takes, in the canonical form the
+# built object's describe() gives back. A field that a run's config sets
+# is the config key, marked as one.
+
+
+class _Key(str):
+    """A description field filled from the run's config under this key."""
+
+
+def _table(alphabet: int, matrices: dict) -> dict:
+    return {"alphabet": alphabet, "depth": 1, "matrices": matrices}
+
+
+def _coin(seed: str) -> dict:
+    return {"kind": "bernoulli", "alphabet": 2, "probabilities": [0.5, 0.5], "seed": _Key(seed)}
+
+
+def _blocks(alphabet: int, preset: str, **fields) -> dict:
+    return {"kind": "block_schedule", "alphabet": alphabet, "preset": preset, **fields}
+
+
+_FIXED_LETTER = {"kind": "periodic", "alphabet": 1, "cycle": "0"}
+_SCHEDULE = {"kind": _Key("schedule"), "base": _Key("schedule_base")}
+_NOLIMIT_PARTS = {
+    "source": _blocks(4, "prefix_doubling", head="3", type2_suffix=2, schedule=_SCHEDULE,
+                      base_source=_coin("seed")),
+    "cocycle": _table(4, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES}),
+}
+
+
+def _fx_table(config) -> dict:
+    # Window with its first 1 at position j carries the rank-one matrix
+    # exp(-2^j) * ones; the all-zero window takes the cylinder supremum
+    # exp(-2^depth). Depth is capped so exp stays in float range.
+    depth = config["depth"]
+    if not 1 <= depth <= 9:
+        raise ConfigError(f"depth must lie in 1..9, got {depth}: "
+                          "exp(-2^depth) underflows float64 past 9")
+    matrices = {}
+    for idx in range(2**depth):
+        word = format(idx, f"0{depth}b")
+        j = word.index("1") if "1" in word else depth
+        f = math.exp(-(2.0**j))
+        matrices[word] = [[f, f], [f, f]]
+    return {"alphabet": 2, "depth": depth, "matrices": matrices}
+
+
+def _fill(desc, config):
+    """desc with each config key replaced by its config value, and a
+    computed part by the description it computes from the config."""
+    if callable(desc):
+        return desc(config)
+    if isinstance(desc, _Key):
+        return config[desc]
+    if isinstance(desc, dict):
+        return {key: _fill(value, config) for key, value in desc.items()}
+    return desc
+
+
+# the CLI's reader of each part
+_READERS = {
+    "source": source_from_description,
+    "marker_base": source_from_description,
+    "cocycle": CocycleSpec.from_description,
+    "weighted": weighted_average_from_description,
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A builder of the scenario's objects plus the analysis steps that run
-    on them, in order (names from ``STEPS``)."""
+    """The descriptions of the scenario's parts (names from ``_READERS``),
+    the analysis steps that run on them, in order (names from ``STEPS``),
+    and reference quantities copied into the artifact document."""
 
     name: str
     citation: str
     expected: str
     defaults: dict
-    build: Callable[[dict], dict]
+    parts: dict
     steps: tuple[str, ...]
+    reference: dict = field(default_factory=dict)
 
     @property
     def analysis(self) -> str:
         return "+".join(self.steps)
+
+    def descriptions(self, config: dict) -> dict:
+        """Each part's description with the config's fields filled in."""
+        return {name: _fill(desc, config) for name, desc in self.parts.items()}
+
+    def build(self, config: dict) -> dict:
+        """Each part, read from its description by the CLI's reader."""
+        return {name: _READERS[name](desc) for name, desc in self.descriptions(config).items()}
 
 
 def verdict_from_artifacts(doc: dict) -> str:
@@ -130,104 +194,6 @@ _TRACE_DEFAULTS = {
 }
 
 
-# --- builders ---------------------------------------------------------------
-
-
-def _build_fibonacci(config):
-    alphabet = Alphabet(1)
-    return {
-        "source": PeriodicSource("0", alphabet),
-        "cocycle": CocycleSpec(alphabet, 1, {"0": _FIB}),
-        "reference": {"golden_log": math.log((1 + math.sqrt(5)) / 2)},
-    }
-
-
-def _build_thue_morse(config):
-    alphabet = Alphabet(2)
-    return {
-        "source": SubstitutionSource({0: "01", 1: "10"}, 0, alphabet),
-        "cocycle": CocycleSpec(alphabet, 1, _POSITIVE_PAIR),
-    }
-
-
-def _build_squarefree(config):
-    return {
-        "source": SquarefreeSource(capacity=config["capacity"]),
-        "cocycle": CocycleSpec(Alphabet(2), 1, _POSITIVE_PAIR),
-    }
-
-
-def _build_bernoulli_positive(config):
-    return {
-        "source": BernoulliSource([0.5, 0.5], seed=config["seed"]),
-        "cocycle": CocycleSpec(Alphabet(2), 1, _VARIED_PAIR),
-        "measure": BernoulliMeasure([0.5, 0.5]),
-    }
-
-
-def _build_nolimit(config):
-    base = BernoulliSource([0.5, 0.5], seed=config["seed"])
-    schedule = EpochSchedule(kind=config["schedule"], base=config["schedule_base"])
-    program = prefix_doubling_program(base, schedule, head=(3,), type2_suffix=2, alphabet_size=4)
-    spec = CocycleSpec(Alphabet(4), 1, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES})
-    return {"source": BlockScheduleSource(program), "cocycle": spec}
-
-
-def _build_nonergodic(config):
-    schedule = EpochSchedule(kind=config["schedule"], base=config["schedule_base"])
-    program = triple_growth_program(schedule, alphabet_size=4, swap_symbol=3)
-    spec = CocycleSpec(
-        Alphabet(4), 1, {"0": _DIAG, "1": _DIAG, "2": _ONES, "3": _SWAP}
-    )
-    return {"source": BlockScheduleSource(program), "cocycle": spec}
-
-
-def _fx_cocycle(depth: int) -> CocycleSpec:
-    # Window with its first 1 at position j carries the rank-one matrix
-    # exp(-2^j) * ones; the all-zero window takes the cylinder supremum
-    # exp(-2^depth). Depth is capped so exp stays in float range.
-    if depth > 9:
-        raise ConfigError("depth > 9 underflows exp(-2^depth) in float64")
-    table = {}
-    for idx in range(2**depth):
-        bits = [(idx >> (depth - 1 - t)) & 1 for t in range(depth)]
-        j = bits.index(1) if 1 in bits else depth
-        f = math.exp(-(2.0**j))
-        table[tuple(bits)] = [[f, f], [f, f]]
-    return CocycleSpec(Alphabet(2), depth, table)
-
-
-def _build_fx(config):
-    program = run_alternation_preset(config["pair_base"], config["run_slope"], config["run_offset"])
-    return {"source": BlockScheduleSource(program), "cocycle": _fx_cocycle(config["depth"])}
-
-
-def _build_gap(config):
-    x = BernoulliSource([0.5, 0.5], seed=config["seed_x"])
-    y = BernoulliSource([0.5, 0.5], seed=config["seed_y"])
-    program = paired_growth_program(x, y, offset=2, alphabet_size=4)
-    return {"source": BlockScheduleSource(program), "marker_base": x}
-
-
-def _build_besicovitch(config):
-    alphabet = Alphabet(1)
-    return {
-        "weighted": WeightedAverageSpec(
-            np.array([[0.0, 0.0], [1.0, 1.0]]),
-            np.array([1.0]),
-            PeriodicSource("0", alphabet),
-        )
-    }
-
-
-def _build_nilpotent(config):
-    alphabet = Alphabet(1)
-    return {
-        "source": PeriodicSource("0", alphabet),
-        "cocycle": CocycleSpec(alphabet, 1, {"0": [[0.0, 1.0], [0.0, 0.0]]}),
-    }
-
-
 # --- analysis steps ---------------------------------------------------------
 # Each step reads the built parts and the config, adds its quantities (and,
 # for the step that grades the run, the verdict inputs) to the artifact
@@ -235,6 +201,8 @@ def _build_nilpotent(config):
 
 
 def _step_trace(parts, config, artifacts, files):
+    if config["late_divisor"] < 1:  # the late window [horizon / late_divisor, horizon]
+        raise ConfigError(f"late_divisor must be >= 1, got {config['late_divisor']}")
     cps = geometric_checkpoints(8, config["horizon"])
     trace = lyapunov_trace(parts["cocycle"], parts["source"], cps)
     artifacts["quantities"].update({
@@ -269,7 +237,7 @@ def _step_lambda(parts, config, artifacts, files):
     # the orbit the trace step follows
     est = lambda_estimate(
         parts["cocycle"],
-        parts["measure"],
+        parts["source"].measure,
         n=config["lambda_n"],
         replicas=config["replicas"],
         seed=config["seed"] + 1,
@@ -363,8 +331,9 @@ _register(Scenario(
     citation="Fibonacci matrix on a fixed letter: exponent is log of the golden ratio",
     expected="converges",
     defaults={**_TRACE_DEFAULTS, "horizon": 10_000},
-    build=_build_fibonacci,
+    parts={"source": _FIXED_LETTER, "cocycle": _table(1, {"0": _FIB})},
     steps=("trace", "periodic"),
+    reference={"golden_log": math.log((1 + math.sqrt(5)) / 2)},
 ))
 
 _register(Scenario(
@@ -372,7 +341,11 @@ _register(Scenario(
     citation="Thue-Morse substitution stream with a strictly positive pair; trace vs return-word estimate",
     expected="converges",
     defaults={**_TRACE_DEFAULTS, "horizon": 200_000, "k0": 8, "cutoff": 64},
-    build=_build_thue_morse,
+    parts={
+        "source": {"kind": "substitution", "alphabet": 2, "seed_letter": 0,
+                   "rules": {"0": "01", "1": "10"}},
+        "cocycle": _table(2, _POSITIVE_PAIR),
+    },
     steps=("trace", "returns"),
 ))
 
@@ -381,7 +354,10 @@ _register(Scenario(
     citation="Squarefree indicator (Moebius-square) stream with a strictly positive pair",
     expected="converges",
     defaults={**_TRACE_DEFAULTS, "horizon": 200_000, "capacity": 1 << 21},
-    build=_build_squarefree,
+    parts={
+        "source": {"kind": "squarefree", "alphabet": 2, "capacity": _Key("capacity")},
+        "cocycle": _table(2, _POSITIVE_PAIR),
+    },
     steps=("trace",),
 ))
 
@@ -394,7 +370,7 @@ _register(Scenario(
     defaults={**_TRACE_DEFAULTS, "convergence_threshold": 5e-3,
               "horizon": 400_000, "seed": 7,
               "lambda_n": 10_000, "replicas": 100},
-    build=_build_bernoulli_positive,
+    parts={"source": _coin("seed"), "cocycle": _table(2, _VARIED_PAIR)},
     steps=("trace", "lambda"),
 ))
 
@@ -404,7 +380,7 @@ _register(Scenario(
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 1_200, "seed": 3,
               "schedule": "tower", "schedule_base": 4, "max_ell": 6},
-    build=_build_nolimit,
+    parts=_NOLIMIT_PARTS,
     steps=("trace", "check"),
 ))
 
@@ -414,7 +390,7 @@ _register(Scenario(
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 400_000, "seed": 3,
               "schedule": "geometric", "schedule_base": 4, "max_ell": 6},
-    build=_build_nolimit,
+    parts=_NOLIMIT_PARTS,
     steps=("trace", "check"),
 ))
 
@@ -424,7 +400,11 @@ _register(Scenario(
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 16_500, "depth": 9,
               "pair_base": 2, "run_slope": 1, "run_offset": 5},
-    build=_build_fx,
+    parts={
+        "source": _blocks(2, "run_alternation", **{
+            key: _Key(key) for key in ("pair_base", "run_slope", "run_offset")}),
+        "cocycle": _fx_table,
+    },
     steps=("trace",),
 ))
 
@@ -434,7 +414,11 @@ _register(Scenario(
     expected="condition-fails",
     defaults={"horizons": [100_000, 1_000_000], "cutoff": 32, "marker_length": 2,
               "seed_x": 11, "seed_y": 12, "mass_floor": 0.2},
-    build=_build_gap,
+    parts={
+        "source": _blocks(4, "paired_growth", offset=2, first_source=_coin("seed_x"),
+                          second_source=_coin("seed_y")),
+        "marker_base": _coin("seed_x"),
+    },
     steps=("mass",),
 ))
 
@@ -444,7 +428,10 @@ _register(Scenario(
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 600_000, "schedule": "geometric",
               "schedule_base": 4},
-    build=_build_nonergodic,
+    parts={
+        "source": _blocks(4, "triple_growth", swap_symbol=3, schedule=_SCHEDULE),
+        "cocycle": _table(4, {"0": _DIAG, "1": _DIAG, "2": _ONES, "3": _SWAP}),
+    },
     steps=("trace",),
 ))
 
@@ -454,7 +441,8 @@ _register(Scenario(
     expected="converges",
     defaults={"beta_min": -5.0, "beta_max": 5.0, "beta_count": 21, "horizon": 1_000,
               "tolerance": 1e-3, "zero_tolerance": 1e-9},
-    build=_build_besicovitch,
+    parts={"weighted": {"states": 2, "potential": [[0.0, 0.0], [1.0, 1.0]],
+                        "weights": [1.0], "weight_source": _FIXED_LETTER}},
     steps=("spectrum",),
 ))
 
@@ -463,7 +451,7 @@ _register(Scenario(
     citation="A nilpotent letter: the product is structurally zero from step two on",
     expected="minus-infinity",
     defaults={**_TRACE_DEFAULTS, "horizon": 64},
-    build=_build_nilpotent,
+    parts={"source": _FIXED_LETTER, "cocycle": _table(1, {"0": [[0.0, 1.0], [0.0, 0.0]]})},
     steps=("trace",),
 ))
 
@@ -489,7 +477,7 @@ def run_scenario(name: str, overrides: dict | None = None) -> tuple[dict, dict, 
     """Execute a registry entry; returns (artifact doc, files, passed)."""
     scenario, config = resolve_config(name, overrides)
     parts = scenario.build(config)
-    artifacts = {"quantities": dict(parts.get("reference", {}))}
+    artifacts = {"quantities": dict(scenario.reference)}
     files: dict[str, str] = {}  # filename -> text content
     for step in scenario.steps:
         STEPS[step](parts, config, artifacts, files)

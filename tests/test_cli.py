@@ -390,6 +390,22 @@ def test_run_with_an_empty_horizon_list_exit_2(tmp_path):
     assert not (tmp_path / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("divisor", [0, -1])
+def test_run_with_a_late_divisor_below_one_exit_2(divisor, tmp_path, capsys):
+    # 0 divided the horizon by zero; -1 counted every checkpoint as late
+    assert main(["run", "fibonacci-periodic", "--override", f"late_divisor={divisor}",
+                 "--out", str(tmp_path)]) == 2
+    assert "late_divisor" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 10])
+def test_run_fx_at_a_depth_outside_1_to_9_exit_2(depth, tmp_path, capsys):
+    assert main(["run", "fx-depth-k", "--override", f"depth={depth}",
+                 "--override", "horizon=256", "--out", str(tmp_path)]) == 2
+    assert "depth must lie in 1..9" in capsys.readouterr().err
+
+
 # --- one parser per process ---------------------------------------------------
 
 

@@ -174,6 +174,8 @@ def test_duplicate_table_keys_are_rejected():
 
 
 def test_table_build_makes_no_per_key_objects(monkeypatch):
+    scenario, config = scenarios.resolve_config("fx-depth-k", {"depth": 9})
+    table = scenario.descriptions(config)["cocycle"]
     counts = {"FiniteWord": 0, "NonNegMatrix": 0}
     for cls in (cl.FiniteWord, NonNegMatrix):
         init = cls.__init__
@@ -183,7 +185,7 @@ def test_table_build_makes_no_per_key_objects(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    spec = scenarios._fx_cocycle(9)
+    spec = cl.CocycleSpec.from_description(table)
     assert counts == {"FiniteWord": 0, "NonNegMatrix": 0}
     spec.describe()
     assert counts == {"FiniteWord": 0, "NonNegMatrix": 0}

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab import scenarios, textform
+from cocyclelab import cli, scenarios, textform
 from cocyclelab.errors import ConfigError
 
 REQUIRED = {
@@ -41,10 +44,13 @@ def test_unknown_scenario_and_override():
 
 
 def test_scenario_descriptions_round_trip():
-    # every default scenario's word source serializes and replays
+    # every default scenario's part is its description in canonical form,
+    # and its word source serializes and replays
     for name, s in scenarios.REGISTRY.items():
         _, config = scenarios.resolve_config(name)
         parts = s.build(config)
+        for key, desc in s.descriptions(config).items():
+            assert parts[key].describe() == desc, (name, key)
         for key in ("source", "weighted"):
             obj = parts.get(key)
             if obj is None:
@@ -165,6 +171,41 @@ def test_every_scenario_passes_and_its_source_round_trips(name):
     rebuilt = cl.source_from_description(data)
     assert rebuilt.describe() == desc
     assert rebuilt.prefix(2000) == source.prefix(2000)
+
+
+@pytest.mark.parametrize("name", [name for name, s in scenarios.REGISTRY.items()
+                                  if "trace" in s.steps])
+def test_cli_trace_on_the_scenario_descriptions_reproduces_its_trace(name, tmp_path):
+    scenario, config = scenarios.resolve_config(name, SCALED.get(name))
+    _, files, _ = scenarios.run_scenario(name, SCALED.get(name))
+    paths = {}
+    for part in ("source", "cocycle"):
+        paths[part] = tmp_path / f"{part}.txt"
+        paths[part].write_text(textform.dumps(part, scenario.descriptions(config)[part]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["trace", "--cocycle", str(paths["cocycle"]), "--source",
+                         str(paths["source"]), "--horizon", str(config["horizon"]),
+                         "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "trace.csv").read_text() == files["trace.csv"]
+
+
+@pytest.mark.parametrize("name", list(scenarios.REGISTRY))
+def test_numeric_overrides_of_0_and_minus_1_exit_cleanly(name, tmp_path):
+    # every int, float or list key at 0 and -1 (a list as one item) either
+    # runs or is refused with an exit code; no exception or warning escapes
+    scenario = scenarios.REGISTRY[name]
+    for key, default in scenario.defaults.items():
+        if isinstance(default, bool) or not isinstance(default, (int, float, list)):
+            continue
+        for value in (0, -1):
+            value = [value] if isinstance(default, list) else value
+            overrides = {**SCALED.get(name, {}), key: value}
+            argv = ["run", name, *(f"--override={k}={v}" for k, v in overrides.items()),
+                    "--out", str(tmp_path)]
+            with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                warnings.simplefilter("error")
+                assert cli.main(argv) in (0, 2, 3, 4), (key, value)
 
 
 @pytest.mark.parametrize("name", list(scenarios.REGISTRY))
