@@ -187,8 +187,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser tree for the cocyclelab command line."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser tree for the cocyclelab command line:
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="cocyclelab",
         description="Lyapunov exponents of non-negative matrix cocycles over symbolic sequences",
@@ -245,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser tree: parsing reads it and never changes it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -809,10 +809,14 @@ def _support_steps(table: _FactorTable, support: np.ndarray, parent: np.ndarray,
 
 def _positivity_witness(spec: CocycleSpec, window: np.ndarray, ell: int) -> PositivityWitness:
     """The witness for a window whose ell-step support is full: its real
-    product, taken factor by factor, and that product's least entry."""
+    product, taken factor by factor, and that product's least entry; a
+    product past the float range raises RangeError."""
     P = np.eye(spec.dim)
-    for f in spec.factor_indices(window, 0, ell):
-        P = P @ spec._stack[f]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in spec.factor_indices(window, 0, ell):
+            P = P @ spec._stack[f]
+    if not np.isfinite(P).all():
+        raise RangeError(f"the witness's {ell}-step product overflows; rescale the table")
     b = float(P.min())
     if b <= 0.0:
         raise UnderflowError_("positive support product underflowed to float zero",

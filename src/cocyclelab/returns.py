@@ -35,6 +35,8 @@ from .matrices import elem_constant, spectral_radii
 from .words import FiniteWord, ReturnDecomposition, decompose_returns, long_word_mass, occurrences
 
 _NEG_INF = float("-inf")
+# relative spread allowed between the exponents of a cycle's rotations
+_ROTATION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class MarkerSelection:
     ell0: int
     b: float
     z_position: int
-    z_prefix: FiniteWord
     v: FiniteWord
     k0: int
     c1: float
@@ -93,8 +94,7 @@ def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int,
             f"prefix of length {len(prefix)} cannot host a k0={k0_eff} marker at {p}",
             required=p + k0_eff,
         )
-    z_prefix = prefix[p : min(len(prefix), p + 2 * k0_eff)]
-    v = z_prefix[:k0_eff]
+    v = prefix[p : p + k0_eff]
     n0 = len(u)
     if p + 2 * n0 <= len(prefix):
         shifted = prefix[p + n0 : p + 2 * n0]
@@ -104,7 +104,7 @@ def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int,
     # The ell0-step product is constant on [u] for a depth-r table, so the
     # quasi-multiplicativity constant is that single product's c(P).
     c1 = elem_constant(witness.product)
-    return MarkerSelection(u, ell0, b, p, z_prefix, v, k0_eff, c1, shift_exits_u)
+    return MarkerSelection(u, ell0, b, p, v, k0_eff, c1, shift_exits_u)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def quasi_multiplicativity_check(spec: CocycleSpec, prefix: FiniteWord,
                                        selection.c1, int(len(gaps) - defined.sum()))
 
 
-def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord, rtol: float = 1e-12) -> float:
+def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord) -> float:
     """Exact exponent on the periodic orbit cycle^inf: log rho of the
     period product over the period. Computed for every rotation of the
     cycle and asserted rotation-invariant; a nilpotent period product
@@ -260,11 +260,10 @@ def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord, rtol: float = 1e-12)
     if len(cycle) < 1:
         raise DomainError("cycle must be nonempty")
     periods = _period_indices(spec, cycle.symbols)[None]
-    return float(_periodic_exponents(spec._table, periods, rtol)[0])
+    return float(_periodic_exponents(spec._table, periods)[0])
 
 
-def _periodic_exponents(table: _FactorTable, periods: np.ndarray,
-                        rtol: float = 1e-12) -> np.ndarray:
+def _periodic_exponents(table: _FactorTable, periods: np.ndarray) -> np.ndarray:
     """`periodic_exponent` of each orbit whose period of factor indices is
     a row of periods (K, p): the period products of all K*p rotations go
     through one kernel batch and their spectral radii through one
@@ -284,8 +283,8 @@ def _periodic_exponents(table: _FactorTable, periods: np.ndarray,
         if finite and finite != p:
             raise DomainError("rotations disagree on nilpotency; inconsistent table")
         spread = float(rotations.max() - rotations.min()) if finite else 0.0
-        if spread > rtol * (1.0 + abs(rotations[0])):
+        if spread > _ROTATION_RTOL * (1.0 + abs(rotations[0])):
             raise DomainError(
-                f"period exponent not rotation-invariant within {rtol}: spread {spread}"
+                f"period exponent not rotation-invariant within {_ROTATION_RTOL}: spread {spread}"
             )
     return vals[::p].copy()

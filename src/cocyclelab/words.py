@@ -179,10 +179,6 @@ class FiniteWord:
     def to_text(self) -> str:
         return _texts(self.symbols[None], self.alphabet)[0]
 
-    def to_bytes(self) -> bytes:
-        """One symbol per byte, the documented raw export format."""
-        return self.symbols.tobytes()
-
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "FiniteWord":
         """Inverse of to_text: over more than 10 symbols, or when the text
@@ -328,9 +324,6 @@ class BernoulliMeasure:
         self.probabilities = probs
         self.alphabet = Alphabet(len(probs))
 
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        return float(np.prod(self.probabilities[word.symbols]))
-
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
         """n IID symbols drawn from the (seed, replica) Philox stream."""
         return self._symbols(_generator(seed, replica).random(n))
@@ -357,15 +350,6 @@ class MarkovMeasure:
         self.stationary = _probabilities(stationary)
         if self.stationary.shape != (P.shape[0],):
             raise DomainError("need one stationary probability per state")
-
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        syms = word.symbols
-        if len(syms) == 0:
-            return 1.0
-        mass = self.stationary[syms[0]]
-        for a, b in zip(syms[:-1], syms[1:]):
-            mass *= self.transition[a, b]
-        return float(mass)
 
     def sample_symbols(self, n: int, seed: int, replica: int) -> np.ndarray:
         """First n states of a chain path started from `stationary`, drawn
@@ -438,10 +422,6 @@ class PeriodicAtomicMeasure:
     def rotation_prefix(self, t, n: int) -> np.ndarray:
         """First n symbols of the rotation by t (of each, for an array of t)."""
         return self.cycle.symbols[(t + np.arange(n)) % self.period]
-
-    def cylinder_mass(self, word: FiniteWord) -> float:
-        rows = self.rotation_prefix(np.arange(self.period)[:, None], len(word))
-        return int(np.count_nonzero((rows == word.symbols).all(axis=1))) / self.period
 
 
 class BernoulliSource(WordSource):
@@ -544,8 +524,8 @@ class EpochSchedule:
     def __post_init__(self):
         if self.kind not in ("tower", "geometric"):
             raise DomainError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "geometric" and self.base < 2:
-            raise DomainError("geometric schedule needs base >= 2")
+        if self.base < 2:
+            raise DomainError(f"schedule needs base >= 2, got {self.base}")
 
     def threshold(self, i: int) -> int:
         if self.kind == "tower":
@@ -623,25 +603,6 @@ class BlockScheduleSource(WordSource):
         }
 
 
-def prefix_doubling_program(
-    base_source: WordSource,
-    schedule: EpochSchedule,
-    *,
-    head=(3,),
-    type2_suffix: int = 2,
-    alphabet_size: int = 4,
-) -> BlockProgram:
-    """Block j emits u_j u_j where u_j is the length-j prefix of the base
-    word, with the suffix symbol appended in type-2 epochs."""
-    return _preset_program(alphabet_size, {
-        "preset": "prefix_doubling",
-        "head": FiniteWord(head, Alphabet(alphabet_size)).to_text(),
-        "type2_suffix": type2_suffix,
-        "schedule": schedule.describe(),
-        "base_source": base_source.describe(),
-    })
-
-
 def paired_growth_program(
     first_source: WordSource,
     second_source: WordSource,
@@ -671,16 +632,6 @@ def triple_growth_program(
         "preset": "triple_growth",
         "swap_symbol": swap_symbol,
         "schedule": schedule.describe(),
-    })
-
-
-def run_alternation_preset(pair_base: int = 2, run_slope: int = 1, run_offset: int = 5) -> BlockProgram:
-    """Block i emits (01)^{pair_base^i} followed by 0^{run_slope*i + run_offset}."""
-    return _preset_program(2, {
-        "preset": "run_alternation",
-        "pair_base": pair_base,
-        "run_slope": run_slope,
-        "run_offset": run_offset,
     })
 
 
@@ -858,29 +809,9 @@ class ReturnDecomposition:
         return len(self.return_times) - 1
 
     @property
-    def prefix_word(self) -> FiniteWord:
-        return self.prefix[: int(self.return_times[0])]
-
-    @property
     def lengths(self) -> np.ndarray:
         """Lengths |zeta_j| for j = 1..count."""
         return np.diff(self.return_times)
-
-    def word(self, j: int) -> FiniteWord:
-        """zeta_j; j = 0 gives the prefix word."""
-        if j == 0:
-            return self.prefix_word
-        if not 1 <= j <= self.count:
-            raise DomainError(f"return word index {j} out of range 1..{self.count}")
-        return self.prefix[int(self.return_times[j - 1]) : int(self.return_times[j])]
-
-    @property
-    def return_words(self) -> list[FiniteWord]:
-        return [self.word(j) for j in range(1, self.count + 1)]
-
-    @property
-    def remainder(self) -> FiniteWord:
-        return self.prefix[int(self.return_times[-1]) :]
 
 
 def decompose_returns(prefix: FiniteWord, marker: FiniteWord) -> ReturnDecomposition:

@@ -118,6 +118,15 @@ def word(text: str, m: int = None) -> FiniteWord:
     return FiniteWord.from_text(text, Alphabet(size))
 
 
+def prefix_doubling_description(base_source, schedule, head="3", type2_suffix=2):
+    """The source description of a prefix-doubling block program over 4
+    symbols: block j is u_j u_j, u_j the length-j prefix of the base word
+    with the suffix symbol appended in type-2 epochs."""
+    return {"kind": "block_schedule", "alphabet": 4, "preset": "prefix_doubling",
+            "head": head, "type2_suffix": type2_suffix, "schedule": schedule.describe(),
+            "base_source": base_source.describe()}
+
+
 def naive_markov_symbols(transition, initial, n, seed, stream=0):
     """Per-symbol chain walk on the same Philox draws, the reference for the
     prefix-composed Markov sampler."""

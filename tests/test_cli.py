@@ -10,6 +10,7 @@ import cocyclelab as cl
 from cocyclelab import scenarios, textform
 from cocyclelab.cli import main
 from cocyclelab.scenarios import LIST_JSON_SCHEMA
+from conftest import prefix_doubling_description
 
 FIB_COCYCLE = textform.dumps("cocycle", {
     "alphabet": 1, "depth": 1, "matrices": {"0": [[1.0, 1.0], [1.0, 0.0]]},
@@ -364,11 +365,12 @@ QUAD_COCYCLE = textform.dumps("cocycle", {
     "matrices": {str(a): [[1.0 + a, 1.0], [1.0, 2.0]] for a in range(4)},
 })
 PRESET_SYMBOL_FIELDS = {
-    "type2_suffix": lambda: cl.words.prefix_doubling_program(
+    "type2_suffix": lambda: prefix_doubling_description(
         cl.BernoulliSource([0.5, 0.5], seed=3), cl.EpochSchedule(kind="geometric", base=4)),
-    "offset": lambda: cl.words.paired_growth_program(
-        cl.BernoulliSource([0.5, 0.5], seed=11), cl.PeriodicSource("01", cl.Alphabet(2))),
-    "swap_symbol": lambda: cl.words.triple_growth_program(cl.EpochSchedule(kind="geometric")),
+    "offset": lambda: cl.BlockScheduleSource(cl.words.paired_growth_program(
+        cl.BernoulliSource([0.5, 0.5], seed=11), cl.PeriodicSource("01", cl.Alphabet(2)))).describe(),
+    "swap_symbol": lambda: cl.BlockScheduleSource(cl.words.triple_growth_program(
+        cl.EpochSchedule(kind="geometric"))).describe(),
 }
 
 
@@ -376,7 +378,7 @@ PRESET_SYMBOL_FIELDS = {
 def test_trace_on_a_preset_symbol_past_the_alphabet_exit_3(key, tmp_path):
     cocycle = tmp_path / "quad.cocycle"
     cocycle.write_text(QUAD_COCYCLE)
-    desc = cl.BlockScheduleSource(PRESET_SYMBOL_FIELDS[key]()).describe()
+    desc = PRESET_SYMBOL_FIELDS[key]()
     for value, code in [(desc[key], 0), (4, 3), (300, 3)]:  # 300 does not fit a byte
         path = tmp_path / f"{value}.source"
         path.write_text(textform.dumps("source", {**desc, key: value}))
@@ -404,6 +406,26 @@ def test_run_fx_at_a_depth_outside_1_to_9_exit_2(depth, tmp_path, capsys):
     assert main(["run", "fx-depth-k", "--override", f"depth={depth}",
                  "--override", "horizon=256", "--out", str(tmp_path)]) == 2
     assert "depth must lie in 1..9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [-1, 0, 1])
+def test_run_nolimit_with_a_schedule_base_below_two_exit_3(base, tmp_path, capsys):
+    # nolimit's tower schedule does not read its base; a base below 2 is still refused
+    assert main(["run", "nolimit", "--override", f"schedule_base={base}",
+                 "--out", str(tmp_path)]) == 3
+    assert f"schedule needs base >= 2, got {base}" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_check_on_a_witness_product_past_the_float_range_exit_3(files, tmp_path, capsys):
+    # every entry is finite, but the 2-step product's entries reach 2e400
+    p = tmp_path / "huge.cocycle"
+    p.write_text(textform.dumps("cocycle", {
+        "alphabet": 1, "depth": 1, "matrices": {"0": [[1e200, 1e200], [1.0, 0.0]]},
+    }))
+    assert main(["check", "--cocycle", str(p), "--source", files["zero.source"],
+                 "--n", "64"]) == 3
+    assert "the witness's 2-step product overflows" in capsys.readouterr().err
 
 
 # --- one parser per process ---------------------------------------------------

@@ -593,10 +593,10 @@ def test_measure_samplers_replay_sources():
     n, seed = 5_000, 17
     bern = cl.BernoulliMeasure([0.3, 0.7])
     assert bern.sample_symbols(n, seed, 0).tobytes() == \
-        cl.BernoulliSource([0.3, 0.7], seed).prefix(n).to_bytes()
+        cl.BernoulliSource([0.3, 0.7], seed).prefix(n).symbols.tobytes()
     markov = cl.MarkovMeasure([[0.9, 0.1], [0.4, 0.6]])
     assert markov.sample_symbols(n, seed, 0).tobytes() == \
-        cl.MarkovSource(markov.transition, markov.stationary, seed).prefix(n).to_bytes()
+        cl.MarkovSource(markov.transition, markov.stationary, seed).prefix(n).symbols.tobytes()
     assert bern.sample_symbols(n, seed, 1).tobytes() != bern.sample_symbols(n, seed, 0).tobytes()
 
 
@@ -630,23 +630,12 @@ def test_markov_measure_irreducible_stationary_vector():
         assert np.array_equal(cl.MarkovMeasure(P).stationary, pi / pi.sum())
 
 
-def test_cylinder_mass_consistency():
-    models = [
-        cl.BernoulliMeasure([0.3, 0.7]),
-        cl.MarkovMeasure([[0.9, 0.1], [0.4, 0.6]]),
-        cl.PeriodicAtomicMeasure(word("0110", 2)),
-    ]
-    for model in models:
-        for text in ("0", "01", "011", "0110"):
-            u = word(text, 2)
-            total = sum(
-                model.cylinder_mass(cl.FiniteWord(list(u.symbols) + [s], A2))
-                for s in range(2)
-            )
-            assert total == pytest.approx(model.cylinder_mass(u), abs=1e-12)
+def test_rotation_prefix_by_hand():
     atomic = cl.PeriodicAtomicMeasure(word("0110", 2))
-    deep = sum(
-        atomic.cylinder_mass(cl.FiniteWord(atomic.rotation_prefix(t, 6), A2))
-        for t in range(4)
-    )
-    assert deep == pytest.approx(1.0, abs=1e-12)
+    assert atomic.rotation_prefix(0, 6).tolist() == [0, 1, 1, 0, 0, 1]
+    assert atomic.rotation_prefix(3, 6).tolist() == [0, 0, 1, 1, 0, 0]
+    # a column of shifts gives one row per shift; shifts wrap at the period
+    rows = atomic.rotation_prefix(np.arange(4)[:, None], 6)
+    assert rows.tolist() == [[0, 1, 1, 0, 0, 1], [1, 1, 0, 0, 1, 1],
+                             [1, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0]]
+    assert atomic.rotation_prefix(np.array([[5], [2]]), 3).tolist() == [[1, 1, 0], [1, 0, 0]]

@@ -202,7 +202,7 @@ def test_spectrum_curve_range_error_names_the_first_offending_beta():
         assert f"reaches {peak} >" in str(stacked.value)
 
 
-def test_periodic_exponent_rejects_rotations_that_disagree():
+def test_periodic_exponent_rejects_rotations_that_disagree(monkeypatch):
     rng = np.random.default_rng(11)
     a2 = cl.Alphabet(2)
     spec = cl.CocycleSpec(a2, 1, {"0": rng.uniform(0.5, 2.0, (4, 4)),
@@ -210,6 +210,7 @@ def test_periodic_exponent_rejects_rotations_that_disagree():
     cycle = cl.FiniteWord("0010111", a2)
     exact = cl.periodic_exponent(spec, cycle)
     # the rotations agree only to rounding, so a zero tolerance must refuse them
+    monkeypatch.setattr(cl.returns, "_ROTATION_RTOL", 0.0)
     with pytest.raises(DomainError, match="not rotation-invariant"):
-        cl.periodic_exponent(spec, cycle, rtol=0.0)
+        cl.periodic_exponent(spec, cycle)
     assert math.isfinite(exact)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import cocyclelab as cl
 from cocyclelab import textform
 from cocyclelab.errors import ConfigError, DomainError, InvalidProgramError
+from conftest import prefix_doubling_description
 
 
 def test_dumps_loads_round_trip_nested():
@@ -82,11 +83,8 @@ def test_source_description_round_trip(source):
 
 
 def test_block_program_round_trip():
-    base = cl.BernoulliSource([0.5, 0.5], seed=3)
-    program = cl.words.prefix_doubling_program(
-        base, cl.EpochSchedule(kind="geometric", base=4)
-    )
-    src = cl.BlockScheduleSource(program)
+    src = cl.source_from_description(prefix_doubling_description(
+        cl.BernoulliSource([0.5, 0.5], seed=3), cl.EpochSchedule(kind="geometric", base=4)))
     rebuilt = cl.source_from_description(src.describe())
     assert rebuilt.prefix(500) == src.prefix(500)
     assert rebuilt.describe() == src.describe()
@@ -96,7 +94,9 @@ PRESETS = {
     "paired_growth": lambda: cl.words.paired_growth_program(
         cl.BernoulliSource([0.5, 0.5], seed=11), cl.SquarefreeSource(capacity=4096)),
     "triple_growth": lambda: cl.words.triple_growth_program(cl.EpochSchedule(kind="tower")),
-    "run_alternation": lambda: cl.words.run_alternation_preset(pair_base=3, run_offset=2),
+    "run_alternation": lambda: cl.source_from_description(
+        {"kind": "block_schedule", "alphabet": 2, "preset": "run_alternation",
+         "pair_base": 3, "run_slope": 1, "run_offset": 2}).program,
 }
 
 
@@ -113,9 +113,8 @@ def test_preset_round_trips_through_textform(preset):
 
 
 def _doubling_description():
-    program = cl.words.prefix_doubling_program(cl.PeriodicSource("01", cl.Alphabet(2)),
-                                               cl.EpochSchedule(kind="geometric", base=4))
-    return cl.BlockScheduleSource(program).describe()
+    return prefix_doubling_description(cl.PeriodicSource("01", cl.Alphabet(2)),
+                                       cl.EpochSchedule(kind="geometric", base=4))
 
 
 def test_description_rejects_unknown_preset_kind_and_missing_head():
@@ -131,7 +130,9 @@ def test_description_rejects_unknown_preset_kind_and_missing_head():
 
 
 def test_run_alternation_negative_run_length_is_invalid():
-    src = cl.BlockScheduleSource(cl.words.run_alternation_preset(run_slope=-3, run_offset=1))
+    src = cl.source_from_description({"kind": "block_schedule", "alphabet": 2,
+                                      "preset": "run_alternation", "pair_base": 2,
+                                      "run_slope": -3, "run_offset": 1})
     with pytest.raises(InvalidProgramError):
         src.prefix(10)
 

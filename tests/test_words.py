@@ -15,7 +15,7 @@ from cocyclelab.errors import (
     MarkerNotFoundError,
 )
 
-from conftest import naive_markov_symbols, naive_occurrences, word
+from conftest import naive_markov_symbols, naive_occurrences, prefix_doubling_description, word
 
 A2 = cl.Alphabet(2)
 
@@ -234,9 +234,8 @@ def test_squarefree_values_and_capacity():
 
 
 def _nolimit_program(schedule):
-    base = cl.PeriodicSource("01", A2)
-    return cl.words.prefix_doubling_program(base, schedule, head=(3,), type2_suffix=2,
-                                            alphabet_size=4)
+    desc = prefix_doubling_description(cl.PeriodicSource("01", A2), schedule)
+    return cl.source_from_description(desc).program
 
 
 def test_prefix_doubling_block_matches_hand_expansion():
@@ -373,19 +372,14 @@ def test_periodic_decomposition_by_hand():
     prefix = word("0101010")
     decomp = cl.decompose_returns(prefix, word("01"))
     assert decomp.return_times.tolist() == [2, 4]
-    assert decomp.prefix_word.to_text() == "01"
-    assert [w.to_text() for w in decomp.return_words] == ["01"]
-    assert decomp.remainder.to_text() == "010"
-    rebuilt = decomp.prefix_word
-    for w in decomp.return_words:
-        rebuilt = rebuilt + w
-    assert rebuilt == prefix[: int(decomp.return_times[-1])]
+    assert decomp.count == 1 and decomp.lengths.tolist() == [2]
+    cuts = [0, *decomp.return_times.tolist(), len(prefix)]
+    assert [prefix[a:b].to_text() for a, b in zip(cuts, cuts[1:])] == ["01", "01", "010"]
 
 
 def test_single_occurrence_gives_no_return_words():
     decomp = cl.decompose_returns(word("000100"), word("1", 2))
-    assert decomp.count == 0
-    assert decomp.prefix_word.to_text() == "000"
+    assert decomp.count == 0 and decomp.return_times.tolist() == [3]
 
 
 def test_missing_marker_raises():
@@ -402,11 +396,10 @@ def test_reconstruction_invariant_random(seed, n):
         decomp = cl.decompose_returns(prefix, word("01", 2))
     except MarkerNotFoundError:
         return
-    cat = np.concatenate(
-        [decomp.prefix_word.symbols] + [w.symbols for w in decomp.return_words]
-    )
-    assert np.array_equal(cat, prefix.symbols[: int(decomp.return_times[-1])])
-    assert np.array_equal(decomp.lengths, np.diff(decomp.return_times))
+    tau = decomp.return_times
+    assert decomp.prefix is prefix and tau[0] >= 1 and decomp.count == len(tau) - 1
+    assert np.array_equal(tau, naive_occurrences(prefix, word("01", 2)))
+    assert np.array_equal(decomp.lengths, np.diff(tau))
 
 
 def test_reconstruction_invariant_bernoulli_1e5():
@@ -414,11 +407,13 @@ def test_reconstruction_invariant_bernoulli_1e5():
     decomp = cl.decompose_returns(prefix, word("01", 2))
     tau = decomp.return_times
     assert np.array_equal(decomp.lengths, np.diff(tau))
-    # spot reconstruction on a sample of junctions
+    # spot-check the return words at a sample of junctions
     for j in np.linspace(1, decomp.count, 25, dtype=int):
-        w = decomp.word(int(j))
         a, b = int(tau[j - 1]), int(tau[j])
-        assert np.array_equal(w.symbols, prefix.symbols[a:b])
+        # each return word starts with the marker and holds no other occurrence
+        w = prefix[a:b]
+        assert len(w) == decomp.lengths[j - 1] and w[:2] == word("01", 2)
+        assert len(naive_occurrences(prefix[a : b + 1], word("01", 2))) == 0
 
 
 def test_return_rate_periodic():
@@ -464,7 +459,7 @@ def test_long_word_mass_geometric_tail():
 
 def test_word_bytes_export_and_slicing():
     w = word("0123", 4)
-    assert w.to_bytes() == bytes([0, 1, 2, 3])
+    assert w.symbols.tobytes() == bytes([0, 1, 2, 3])
     assert w[1:3].to_text() == "12"
     assert (w[:2] + w[2:]) == w
 
