@@ -47,6 +47,7 @@ from .cocycles import (
     lambda_estimate,
     LambdaEstimate,
     trace_envelope,
+    periodic_exponent,
 )
 from .returns import (
     MarkerSelection,
@@ -54,7 +55,6 @@ from .returns import (
     ReturnFormulaEstimate,
     return_formula_estimate,
     quasi_multiplicativity_check,
-    periodic_exponent,
 )
 from .spectrum import (
     WeightedAverageSpec,

@@ -23,6 +23,7 @@ import numpy as np
 from . import scenarios, textform
 from .cocycles import (
     CocycleSpec,
+    _FIRST_CHECKPOINT,
     check_positivity_condition,
     geometric_checkpoints,
     lyapunov_trace,
@@ -130,7 +131,7 @@ def _cmd_trace(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--checkpoints must be comma-separated integers: {exc}") from exc
     else:
-        cps = geometric_checkpoints(args.first_checkpoint, args.horizon).tolist()
+        cps = geometric_checkpoints(_FIRST_CHECKPOINT, args.horizon).tolist()
     trace = lyapunov_trace(spec, source, cps)
     out = _out_dir(args)
     _atomic_write(os.path.join(out, "trace.csv"), trace.to_csv())
@@ -159,7 +160,7 @@ def _cmd_returns(args) -> int:
 def _cmd_spectrum(args) -> int:
     wspec = weighted_average_from_description(_load_block(args.spec, "weighted_average"))
     betas = _beta_grid(args.beta_min, args.beta_max, args.beta_count)
-    points = spectrum_curve(wspec, betas, horizon=args.horizon, h=args.step)
+    points = spectrum_curve(wspec, betas, horizon=args.horizon)
     out = _out_dir(args)
     _atomic_write(os.path.join(out, "spectrum.csv"), spectrum_to_csv(points))
     print(f"wrote {len(points)} spectrum points to {os.path.join(out, 'spectrum.csv')}")
@@ -211,7 +212,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cocycle", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--first-checkpoint", type=int, default=8)
     p.add_argument("--checkpoints", help="comma-separated checkpoint list (overrides --horizon)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_trace)
@@ -232,7 +232,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, default=5.0)
     p.add_argument("--beta-count", type=int, default=21)
     p.add_argument("--horizon", type=int, default=1_000)
-    p.add_argument("--step", type=float, default=None, help="derivative step (default adaptive)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 

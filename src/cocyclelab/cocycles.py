@@ -4,7 +4,8 @@ A cocycle assigns a non-negative matrix to every depth-r window of a
 symbol stream; products along the orbit are accumulated in scaled form so
 log-norms never overflow. This module produces exponent traces, checks
 the structural hypotheses (positivity window, quasi-additivity defects),
-and estimates the expected exponent under a sampling measure.
+estimates the expected exponent under a sampling measure, and gives the
+exact exponent on a periodic orbit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .matrices import (
     _support_matmul,
     as_matrix,
     log_norm_bounds,
+    spectral_radii,
 )
 from .textform import field
 from .words import (
@@ -46,6 +48,8 @@ from .words import (
 _NEG_INF = float("-inf")
 _TINY = 1e-300  # floor for structurally positive entries inside a block
 _GATHER_BYTES = 1 << 20  # budget for the factors one reduction gathers
+_ROTATION_RTOL = 1e-12  # relative spread allowed between a cycle's rotations' exponents
+_FIRST_CHECKPOINT = 8  # first point of the default geometric checkpoint grid
 
 
 class CocycleSpec:
@@ -504,8 +508,6 @@ def _reduce_groups(table: _FactorTable, count: int, n: int, rows_for, checkpoint
     row) within _GATHER_BYTES, and at least one."""
     per_row = 8 * max(n, _row_block(table, n) * table.dim**2)
     group = max(1, _GATHER_BYTES // per_row)
-    if count <= group:
-        return _reduce(table, rows_for(range(count)), checkpoints)
     parts = [_reduce(table, rows_for(range(i, min(count, i + group))), checkpoints)
              for i in range(0, count, group)]
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -551,6 +553,44 @@ def _rotation_rows(periods: np.ndarray, n: int, rows) -> np.ndarray:
     return periods[rows // p, (rows % p + np.arange(n)) % p]
 
 
+def periodic_exponent(spec: CocycleSpec, cycle: FiniteWord) -> float:
+    """Exact exponent on the periodic orbit cycle^inf: log rho of the
+    period product over the period. Computed for every rotation of the
+    cycle and asserted rotation-invariant; a nilpotent period product
+    gives -inf."""
+    if len(cycle) < 1:
+        raise DomainError("cycle must be nonempty")
+    periods = _period_indices(spec, cycle.symbols)[None]
+    return float(_periodic_exponents(spec._table, periods)[0])
+
+
+def _periodic_exponents(table: _FactorTable, periods: np.ndarray) -> np.ndarray:
+    """`periodic_exponent` of each orbit whose period of factor indices is
+    a row of periods (K, p): the period products of all K*p rotations go
+    through one kernel batch and their spectral radii through one
+    `spectral_radii` call."""
+    K, p = periods.shape
+    _, _, unit, acc, sup = _reduce_groups(table, K * p, p,
+                                          lambda rows: _rotation_rows(periods, p, rows))
+    live = sup.any(axis=(1, 2))
+    units, sups = unit[live], sup[live]
+    if np.any(units[sups > 0] == 0.0):
+        raise UnderflowError_("structurally nonzero entry underflowed to float zero", position=p)
+    vals = np.full(K * p, _NEG_INF)
+    with np.errstate(divide="ignore"):  # a nilpotent product has rho 0
+        vals[live] = (acc[live] + np.log(spectral_radii(units, sups))) / p
+    for rotations in vals.reshape(K, p):
+        finite = np.count_nonzero(rotations != _NEG_INF)
+        if finite and finite != p:
+            raise DomainError("rotations disagree on nilpotency; inconsistent table")
+        spread = float(rotations.max() - rotations.min()) if finite else 0.0
+        if spread > _ROTATION_RTOL * (1.0 + abs(rotations[0])):
+            raise DomainError(
+                f"period exponent not rotation-invariant within {_ROTATION_RTOL}: spread {spread}"
+            )
+    return vals[::p].copy()
+
+
 def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> ScaledProduct:
     """Scaled product of the cocycle factors at positions n..m-1; the
     empty range returns the identity accumulator with log_norm 0."""
@@ -564,6 +604,16 @@ def partial_product(spec: CocycleSpec, prefix: FiniteWord, n: int, m: int) -> Sc
         return ScaledProduct(spec.dim, unit[0], sup[0] > 0, _NEG_INF, m - n)
     s = float(unit[0].sum())  # the kernel checked every live row's chain sum
     return ScaledProduct(spec.dim, unit[0] / s, sup[0] > 0, float(acc[0]) + math.log(s), m - n)
+
+
+def _trace_slope(values: np.ndarray, checkpoints) -> np.ndarray:
+    """Difference quotient of the log-norms values (..., k) across the last
+    two of the checkpoints (k), or value / n at a single one; cancels the
+    O(1) offset of log-norms so periodic and quasi-additive traces converge
+    at machine precision instead of O(1/n)."""
+    if len(checkpoints) == 1:
+        return values[..., 0] / checkpoints[0]
+    return (values[..., -1] - values[..., -2]) / (checkpoints[-1] - checkpoints[-2])
 
 
 @dataclass(frozen=True)
@@ -583,17 +633,10 @@ class LyapunovTrace:
         return self.values / self.checkpoints
 
     def slope_estimate(self) -> float:
-        """Difference quotient across the last two checkpoints; cancels
-        the O(1) offset of log-norms so periodic and quasi-additive traces
-        converge at machine precision instead of O(1/n)."""
+        """`_trace_slope` of the trace; -inf once the product is zero."""
         if self.zero_index is not None:
             return _NEG_INF
-        if len(self.checkpoints) == 1:
-            return float(self.values[0] / self.checkpoints[0])
-        return float(
-            (self.values[-1] - self.values[-2])
-            / (self.checkpoints[-1] - self.checkpoints[-2])
-        )
+        return float(_trace_slope(self.values, self.checkpoints))
 
     def to_csv(self) -> str:
         lines = ["n,log_norm,exponent,zero_flag"]

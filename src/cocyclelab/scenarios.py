@@ -17,14 +17,16 @@ import numpy as np
 
 from .cocycles import (
     CocycleSpec,
+    _FIRST_CHECKPOINT,
     check_positivity_condition,
     geometric_checkpoints,
     lambda_estimate,
     lyapunov_trace,
+    periodic_exponent,
 )
 from .errors import ConfigError
 from .textform import typed
-from .returns import return_formula_estimate, select_marker, periodic_exponent
+from .returns import return_formula_estimate, select_marker
 from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv, weighted_average_from_description
 from .words import decompose_returns, long_word_mass, source_from_description
 
@@ -70,11 +72,14 @@ def _blocks(alphabet: int, preset: str, **fields) -> dict:
 
 _FIXED_LETTER = {"kind": "periodic", "alphabet": 1, "cycle": "0"}
 _SCHEDULE = {"kind": _Key("schedule"), "base": _Key("schedule_base")}
-_NOLIMIT_PARTS = {
-    "source": _blocks(4, "prefix_doubling", head="3", type2_suffix=2, schedule=_SCHEDULE,
-                      base_source=_coin("seed")),
-    "cocycle": _table(4, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES}),
-}
+
+
+def _nolimit_parts(schedule: dict) -> dict:
+    return {
+        "source": _blocks(4, "prefix_doubling", head="3", type2_suffix=2, schedule=schedule,
+                          base_source=_coin("seed")),
+        "cocycle": _table(4, {"0": _DIAG, "1": _DIAG, "2": _SWAP, "3": _ONES}),
+    }
 
 
 def _fx_table(config) -> dict:
@@ -203,7 +208,7 @@ _TRACE_DEFAULTS = {
 def _step_trace(parts, config, artifacts, files):
     if config["late_divisor"] < 1:  # the late window [horizon / late_divisor, horizon]
         raise ConfigError(f"late_divisor must be >= 1, got {config['late_divisor']}")
-    cps = geometric_checkpoints(8, config["horizon"])
+    cps = geometric_checkpoints(_FIRST_CHECKPOINT, config["horizon"])
     trace = lyapunov_trace(parts["cocycle"], parts["source"], cps)
     artifacts["quantities"].update({
         "exponent_estimate": trace.slope_estimate(),
@@ -379,8 +384,8 @@ _register(Scenario(
     citation="Walters-style doubled-prefix blocks over diagonal/antidiagonal matrices, tower epochs",
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 1_200, "seed": 3,
-              "schedule": "tower", "schedule_base": 4, "max_ell": 6},
-    parts=_NOLIMIT_PARTS,
+              "schedule": "tower", "max_ell": 6},
+    parts=_nolimit_parts({"kind": _Key("schedule")}),
     steps=("trace", "check"),
 ))
 
@@ -390,7 +395,7 @@ _register(Scenario(
     expected="oscillates",
     defaults={**_TRACE_DEFAULTS, "horizon": 400_000, "seed": 3,
               "schedule": "geometric", "schedule_base": 4, "max_ell": 6},
-    parts=_NOLIMIT_PARTS,
+    parts=_nolimit_parts(_SCHEDULE),
     steps=("trace", "check"),
 ))
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import CocycleSpec, _factor_table, _reduce_groups
+from .cocycles import CocycleSpec, _factor_table, _periodic_exponents, _reduce_groups, _trace_slope
 from .errors import DomainError, RangeError
 from .matrices import _floats
-from .returns import _periodic_exponents
 from .textform import field
 from .words import Alphabet, PeriodicSource, WordSource, source_from_description
 
@@ -104,10 +103,7 @@ def _psi_values(spec: WeightedAverageSpec, betas, horizon: int) -> np.ndarray:
     weights = src.prefix(horizon).symbols
     values, zero, _, _, _ = _reduce_groups(table, len(betas), horizon,
                                            lambda rows: weights + offsets[rows], cps)
-    # the trace slope across the last two checkpoints cancels the O(1) offset
-    slope = values[:, 0] / horizon if len(cps) == 1 else (
-        (values[:, 1] - values[:, 0]) / (horizon - half))
-    return np.where(zero > 0, _NEG_INF, slope)
+    return np.where(zero > 0, _NEG_INF, _trace_slope(values, cps))
 
 
 def psi(spec: WeightedAverageSpec, beta: float, horizon: int) -> float:
@@ -141,12 +137,11 @@ def _beta_grid(beta_min: float, beta_max: float, count: int) -> np.ndarray:
     return np.linspace(beta_min, beta_max, count)
 
 
-def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int,
-                   h: float | None = None) -> list[SpectrumPoint]:
+def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int) -> list[SpectrumPoint]:
     """Dimension spectrum along a beta grid.
 
     alpha is the central difference (psi(b+h) - psi(b-h)) / 2h with the
-    default step 1e-3 * (1 + |beta|); the dimension at each point is the
+    step h = 1e-3 * (1 + |beta|); the dimension at each point is the
     Legendre value (psi - alpha*beta)/log q. The 3 psi values per beta
     (beta, beta+h, beta-h, in that order) are one family for `_psi_values`.
     """
@@ -155,10 +150,8 @@ def spectrum_curve(spec: WeightedAverageSpec, betas, horizon: int,
         raise DomainError("beta must be finite")
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise DomainError("beta grid must be strictly increasing")
-    if h is not None and not (h != 0 and math.isfinite(h)):
-        raise DomainError("derivative step h must be nonzero and finite")
     logq = math.log(spec.q)
-    steps = np.full(len(grid), float(h)) if h is not None else 1e-3 * (1.0 + np.abs(grid))
+    steps = 1e-3 * (1.0 + np.abs(grid))
     family = np.stack([grid, grid + steps, grid - steps], axis=1).reshape(-1)
     p0, up, down = _psi_values(spec, family, horizon).reshape(-1, 3).T
     alpha = (up - down) / (2 * steps)

@@ -800,10 +800,6 @@ class ReturnDecomposition:
             raise DomainError("a listed return time does not carry the marker")
 
     @property
-    def horizon(self) -> int:
-        return len(self.prefix)
-
-    @property
     def count(self) -> int:
         """Number of return words (the index i of the last usable return)."""
         return len(self.return_times) - 1

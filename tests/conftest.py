@@ -158,10 +158,11 @@ def naive_first_zero(spec, symbols, n):
     return None
 
 
-def naive_spectrum(spec, betas, horizon, h=None):
+def naive_spectrum(spec, betas, horizon):
     """Per-beta loop of (beta, psi, alpha, dim): three psi values per grid
     point, each from its own depth-1 cocycle, in the order beta, beta + h,
-    beta - h; the reference for the stacked beta-family."""
+    beta - h with h = 1e-3 * (1 + |beta|); the reference for the stacked
+    beta-family."""
 
     def one_psi(beta):
         cocycle = beta_cocycle(spec, beta)
@@ -174,7 +175,7 @@ def naive_spectrum(spec, betas, horizon, h=None):
 
     out = []
     for beta in np.asarray(betas, dtype=float).tolist():
-        step = h if h is not None else 1e-3 * (1.0 + abs(beta))
+        step = 1e-3 * (1.0 + abs(beta))
         p0 = one_psi(beta)
         alpha = (one_psi(beta + step) - one_psi(beta - step)) / (2 * step)
         out.append((beta, p0, alpha, (p0 - alpha * beta) / math.log(spec.q)))

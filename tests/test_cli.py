@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,7 +10,7 @@ import pytest
 
 import cocyclelab as cl
 from cocyclelab import scenarios, textform
-from cocyclelab.cli import main
+from cocyclelab.cli import _parser, main
 from cocyclelab.scenarios import LIST_JSON_SCHEMA
 from conftest import prefix_doubling_description
 
@@ -410,10 +412,17 @@ def test_run_fx_at_a_depth_outside_1_to_9_exit_2(depth, tmp_path, capsys):
 
 @pytest.mark.parametrize("base", [-1, 0, 1])
 def test_run_nolimit_with_a_schedule_base_below_two_exit_3(base, tmp_path, capsys):
-    # nolimit's tower schedule does not read its base; a base below 2 is still refused
-    assert main(["run", "nolimit", "--override", f"schedule_base={base}",
+    assert main(["run", "nolimit-geometric", "--override", f"schedule_base={base}",
                  "--out", str(tmp_path)]) == 3
     assert f"schedule needs base >= 2, got {base}" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_run_nolimit_with_a_schedule_base_exit_2(tmp_path, capsys):
+    # nolimit's tower schedule has no base, so there is no such key to set
+    assert main(["run", "nolimit", "--override", "schedule_base=7",
+                 "--out", str(tmp_path)]) == 2
+    assert "unknown override 'schedule_base'" in capsys.readouterr().err
     assert not (tmp_path / "verdict.json").exists()
 
 
@@ -485,3 +494,15 @@ def test_main_from_threads_writes_what_serial_calls_write(files, tmp_path, capsy
         assert names and sorted(os.listdir(threads)) == names
         for name in names:
             assert (threads / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_readme_synopsis_lists_every_option_of_each_subcommand():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        synopsis = handle.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1]: set(re.findall(r"--[a-z0-9][a-z0-9-]*", line))
+              for line in synopsis.splitlines()}
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {opt for action in p._actions for opt in action.option_strings
+                       if opt.startswith("--")} - {"--help"}
+                for name, p in commands.choices.items()}
+    assert listed == declared

@@ -405,6 +405,22 @@ def fold_words(table, rows):
     return cocycles._fold(table, rows, B, -(-rows.shape[1] // B), None)[0]
 
 
+def test_a_level_past_the_byte_budget_is_not_folded():
+    # 64 letters at d = 8 over 50,000 uniform symbols: level 1 holds about
+    # 4096 distinct pairs of 512 bytes, past _GATHER_BYTES
+    rng = np.random.default_rng(64)
+    spec = cl.CocycleSpec(cl.Alphabet(64), 1,
+                          {str(k): random_positive(rng, 8, 1.0, 2.0) for k in range(64)})
+    table = spec._table
+    rows = rng.integers(0, 64, (1, 50_000))
+    B = cocycles._row_block(table, rows.shape[1])
+    u = table.pad + 1  # the level-0 words: the units and the identity pad
+    assert 2 * u * u <= -(-rows.shape[1] // B) * (B // 2)  # the positions rule would fold
+    assert len(fold_words(table, rows)) == 1
+    cps = [1, 777, 50_000]
+    assert_same_bytes(cocycles._reduce(table, rows, cps), unfolded_reduce(table, rows, cps))
+
+
 def tm_rows(spec, n):
     source = cl.SubstitutionSource({0: "01", 1: "10"}, 0, spec.alphabet)
     return spec.factor_indices(source.prefix(n + spec.depth - 1).symbols, 0, n)[None]

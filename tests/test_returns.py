@@ -140,6 +140,35 @@ def test_estimate_json_document():
     assert counts == est.i
 
 
+def test_block_log_norms_send_only_the_distinct_blocks(monkeypatch):
+    # 16,666 return blocks (the prefix block and 16,665 return words), 4 distinct
+    spec = positive_spec()
+    prefix = tm_prefix(200_000)
+    sel = cl.select_marker(spec, prefix, k0=8, max_ell=4)
+    sent, inner = [], cl.returns._range_log_norms
+    monkeypatch.setattr(cl.returns, "_range_log_norms", lambda table, idx, starts, stops: (
+        sent.append(len(starts)) or inner(table, idx, starts, stops)))
+    est = cl.return_formula_estimate(spec, prefix, sel, cutoff=64)
+    assert est.i == 16_665 and sent == [4]
+
+
+def test_return_estimate_drops_a_last_return_inside_the_depth_lookahead():
+    # a hand-built marker shorter than the depth: the factor at the return
+    # at 16 reads symbols 16..18, past the 17-symbol prefix
+    rng = np.random.default_rng(3)
+    spec = cl.CocycleSpec(A2, 3, {"".join(map(str, w)): rng.uniform(0.5, 2.0, (2, 2))
+                                  for w in np.ndindex(2, 2, 2)})
+    prefix = word("00110101101001101", 2)
+    one = word("1", 2)
+    sel = cl.MarkerSelection(one, 1, 0.5, 2, one, 1, 0.5, None)
+    est = cl.return_formula_estimate(spec, prefix, sel, cutoff=64)
+    assert (est.i, est.tau_i) == (7, 14)
+    assert est.to_json() == cl.return_formula_estimate(spec, prefix[:16], sel, 64).to_json()
+    taus = [0, 2, 3, 5, 7, 8, 10, 13, 14]
+    blocks = [cl.partial_product(spec, prefix, a, b).log_norm for a, b in zip(taus, taus[1:])]
+    assert est.short_sum == pytest.approx(math.fsum(blocks), rel=1e-13)
+
+
 # --- quasi-multiplicativity -------------------------------------------------
 
 
