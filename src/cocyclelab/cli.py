@@ -13,16 +13,12 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
-import json
 import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import scenarios, textform
 from .cocycles import (
-    CocycleSpec,
     _FIRST_CHECKPOINT,
     check_positivity_condition,
     geometric_checkpoints,
@@ -30,8 +26,7 @@ from .cocycles import (
 )
 from .errors import CocycleLabError, ConfigError
 from .returns import return_formula_estimate, select_marker
-from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv, weighted_average_from_description
-from .words import source_from_description
+from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,23 +53,16 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_block(path: str, expected_name: str) -> dict:
+def _load(path: str, block: str):
+    """The object a textform file of the named block describes."""
     try:
         with open(path) as handle:
             name, data = textform.loads(handle.read())
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if name != expected_name:
-        raise ConfigError(f"{path}: expected a {expected_name!r} block, found {name!r}")
-    return data
-
-
-def _load_source(path: str):
-    return source_from_description(_load_block(path, "source"))
-
-
-def _load_cocycle(path: str) -> CocycleSpec:
-    return CocycleSpec.from_description(_load_block(path, "cocycle"))
+    if name != block:
+        raise ConfigError(f"{path}: expected a {block!r} block, found {name!r}")
+    return scenarios.READERS[block](data)
 
 
 def _parse_overrides(items) -> dict:
@@ -91,10 +79,6 @@ def _parse_overrides(items) -> dict:
     return overrides
 
 
-def _json_dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 # --- subcommand bodies ------------------------------------------------------
 
 
@@ -103,7 +87,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     for fname, content in files.items():
         _atomic_write(os.path.join(out, fname), content)
-    _atomic_write(os.path.join(out, "verdict.json"), _json_dump(doc))
+    _atomic_write(os.path.join(out, "verdict.json"), textform.json_text(doc))
     print(
         f"scenario={doc['scenario']} expected={doc['expected']} "
         f"observed={doc['observed']} -> {'PASS' if passed else 'MISMATCH'} (artifacts in {out})"
@@ -114,7 +98,7 @@ def _cmd_run(args) -> int:
 def _cmd_list(args) -> int:
     table = scenarios.registry_table()
     if args.json:
-        print(_json_dump({"scenarios": table}), end="")
+        print(textform.json_text({"scenarios": table}), end="")
         return EXIT_OK
     width = max(len(row["name"]) for row in table)
     for row in table:
@@ -123,8 +107,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    spec = _load_cocycle(args.cocycle)
-    source = _load_source(args.source)
+    spec, source = _load(args.cocycle, "cocycle"), _load(args.source, "source")
     if args.checkpoints:
         try:
             cps = [int(tok) for tok in args.checkpoints.split(",")]
@@ -143,13 +126,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_returns(args) -> int:
-    spec = _load_cocycle(args.cocycle)
-    source = _load_source(args.source)
+    spec, source = _load(args.cocycle, "cocycle"), _load(args.source, "source")
     prefix = source.prefix(args.n + spec.depth - 1)
     selection = select_marker(spec, prefix, k0=args.k0, max_ell=args.max_ell)
     estimate = return_formula_estimate(spec, prefix, selection, cutoff=args.cutoff)
     out = _out_dir(args)
-    _atomic_write(os.path.join(out, "returns.json"), estimate.to_json() + "\n")
+    _atomic_write(os.path.join(out, "returns.json"), textform.json_text(estimate))
     print(
         f"estimate={estimate.estimate!r} band={estimate.correction_band!r} "
         f"long_mass={estimate.long_mass!r} returns={estimate.i}"
@@ -158,7 +140,7 @@ def _cmd_returns(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    wspec = weighted_average_from_description(_load_block(args.spec, "weighted_average"))
+    wspec = _load(args.spec, "weighted_average")
     betas = _beta_grid(args.beta_min, args.beta_max, args.beta_count)
     points = spectrum_curve(wspec, betas, horizon=args.horizon)
     out = _out_dir(args)
@@ -168,23 +150,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = _load_cocycle(args.cocycle)
-    source = _load_source(args.source)
+    spec, source = _load(args.cocycle, "cocycle"), _load(args.source, "source")
     prefix = source.prefix(args.n)
     witness = check_positivity_condition(
         spec, prefix, max_ell=args.max_ell, start=args.start, exhaustive=args.exhaustive
     )
-    doc = {
-        "witness": None
-        if witness is None
-        else {"u": witness.u.to_text(), "ell0": witness.ell0, "b": witness.b}
-    }
-    if args.out:
-        _atomic_write(os.path.join(_out_dir(args), "check.json"), _json_dump(doc))
-    if witness is None:
+    doc = scenarios.witness_doc(witness)
+    _atomic_write(os.path.join(_out_dir(args), "check.json"), textform.json_text({"witness": doc}))
+    if doc is None:
         print("no positivity witness found")
     else:
-        print(f"witness u={witness.u.to_text()} ell0={witness.ell0} b={witness.b!r}")
+        print(f"witness u={doc['u']} ell0={doc['ell0']} b={doc['b']!r}")
     return EXIT_OK
 
 

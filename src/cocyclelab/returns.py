@@ -8,7 +8,6 @@ to the return rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,18 +46,6 @@ class MarkerSelection:
     k0: int
     c1: float
     shift_exits_u: bool | None
-
-    def describe(self) -> dict:
-        return {
-            "u": self.u.to_text(),
-            "ell0": self.ell0,
-            "b": self.b,
-            "z_position": self.z_position,
-            "v": self.v.to_text(),
-            "k0": self.k0,
-            "c1": self.c1,
-            "shift_exits_u": self.shift_exits_u,
-        }
 
 
 def select_marker(spec: CocycleSpec, prefix: FiniteWord, k0: int,
@@ -117,21 +104,6 @@ class ReturnFormulaEstimate:
     mixed_support: bool
     histogram: dict
     selection: MarkerSelection
-
-    def to_json(self) -> str:
-        doc = {
-            "selection": self.selection.describe(),
-            "i": self.i,
-            "tau_i": self.tau_i,
-            "cutoff": self.cutoff,
-            "short_sum": self.short_sum,
-            "long_mass": self.long_mass,
-            "estimate": self.estimate,
-            "correction_band": self.correction_band,
-            "mixed_support": self.mixed_support,
-            "histogram": self.histogram,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _block_log_norms(spec: CocycleSpec, prefix: FiniteWord,

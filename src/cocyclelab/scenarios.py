@@ -25,7 +25,7 @@ from .cocycles import (
     periodic_exponent,
 )
 from .errors import ConfigError
-from .textform import typed
+from .textform import json_text, typed
 from .returns import return_formula_estimate, select_marker
 from .spectrum import _beta_grid, spectrum_curve, spectrum_to_csv, weighted_average_from_description
 from .words import decompose_returns, long_word_mass, source_from_description
@@ -111,20 +111,33 @@ def _fill(desc, config):
     return desc
 
 
-# the CLI's reader of each part
-_READERS = {
+# the reader of each textform block: the CLI reads its files with it, and a
+# run builds each part with it
+READERS = {
     "source": source_from_description,
-    "marker_base": source_from_description,
     "cocycle": CocycleSpec.from_description,
-    "weighted": weighted_average_from_description,
+    "weighted_average": weighted_average_from_description,
 }
+
+
+def block_name(part: str) -> str:
+    """The block a part is read as: its own name, but a marker's base word
+    is a source."""
+    return "source" if part == "marker_base" else part
+
+
+def witness_doc(witness) -> dict | None:
+    """A positivity witness as the JSON artifacts write it."""
+    return None if witness is None else {"u": witness.u.to_text(), "ell0": witness.ell0,
+                                         "b": witness.b}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """The descriptions of the scenario's parts (names from ``_READERS``),
-    the analysis steps that run on them, in order (names from ``STEPS``),
-    and reference quantities copied into the artifact document."""
+    """The descriptions of the scenario's parts (block names from
+    ``READERS``, by ``block_name``), the analysis steps that run on them, in
+    order (names from ``STEPS``), and reference quantities copied into the
+    artifact document."""
 
     name: str
     citation: str
@@ -143,8 +156,9 @@ class Scenario:
         return {name: _fill(desc, config) for name, desc in self.parts.items()}
 
     def build(self, config: dict) -> dict:
-        """Each part, read from its description by the CLI's reader."""
-        return {name: _READERS[name](desc) for name, desc in self.descriptions(config).items()}
+        """Each part, read from its description by its block's reader."""
+        return {name: READERS[block_name(name)](desc)
+                for name, desc in self.descriptions(config).items()}
 
 
 def verdict_from_artifacts(doc: dict) -> str:
@@ -234,7 +248,7 @@ def _step_returns(parts, config, artifacts, files):
     q["correction_band"] = est.correction_band
     q["long_mass"] = est.long_mass
     q["cross_check_gap"] = abs(est.estimate - q["final_exponent"])
-    files["returns.json"] = est.to_json()
+    files["returns.json"] = json_text(est)
 
 
 def _step_lambda(parts, config, artifacts, files):
@@ -260,9 +274,7 @@ def _step_check(parts, config, artifacts, files):
     hit = check_positivity_condition(
         parts["cocycle"], sample, max_ell=config["max_ell"], start=1
     )
-    artifacts["quantities"]["positivity_witness"] = (
-        None if hit is None else {"u": hit.u.to_text(), "ell0": hit.ell0, "b": hit.b}
-    )
+    artifacts["quantities"]["positivity_witness"] = witness_doc(hit)
 
 
 def _step_mass(parts, config, artifacts, files):
@@ -286,7 +298,7 @@ def _step_mass(parts, config, artifacts, files):
 
 def _step_spectrum(parts, config, artifacts, files):
     betas = _beta_grid(config["beta_min"], config["beta_max"], config["beta_count"])
-    points = spectrum_curve(parts["weighted"], betas, horizon=config["horizon"])
+    points = spectrum_curve(parts["weighted_average"], betas, horizon=config["horizon"])
     errs = []
     dim0 = None
     for pt in points:
@@ -446,8 +458,8 @@ _register(Scenario(
     expected="converges",
     defaults={"beta_min": -5.0, "beta_max": 5.0, "beta_count": 21, "horizon": 1_000,
               "tolerance": 1e-3, "zero_tolerance": 1e-9},
-    parts={"weighted": {"states": 2, "potential": [[0.0, 0.0], [1.0, 1.0]],
-                        "weights": [1.0], "weight_source": _FIXED_LETTER}},
+    parts={"weighted_average": {"states": 2, "potential": [[0.0, 0.0], [1.0, 1.0]],
+                                "weights": [1.0], "weight_source": _FIXED_LETTER}},
     steps=("spectrum",),
 ))
 

@@ -168,8 +168,11 @@ def spectrum_to_csv(points: list[SpectrumPoint]) -> str:
 
 
 def weighted_average_from_description(d) -> WeightedAverageSpec:
-    return WeightedAverageSpec(
+    spec = WeightedAverageSpec(
         field(d, "potential", list[list[float]]),
         field(d, "weights", list[float]),
         source_from_description(field(d, "weight_source", dict)),
     )
+    if field(d, "states", int) != spec.q:
+        raise DomainError(f"states = {d['states']}, but the potential is {spec.q} x {spec.q}")
+    return spec

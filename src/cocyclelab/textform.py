@@ -1,5 +1,5 @@
 """Structured text form shared by word sources, cocycle tables, and
-scenario configs.
+scenario configs, and the JSON text of every JSON artifact.
 
 Grammar (line oriented, ``#`` outside a quoted literal starts a comment):
 
@@ -17,6 +17,8 @@ A document is one named top-level block; values round-trip through
 from __future__ import annotations
 
 import ast
+import dataclasses
+import json
 import math
 import numbers
 from typing import Mapping, get_args, get_origin
@@ -82,6 +84,18 @@ def dumps(name: str, data: Mapping) -> str:
     _emit(data, 1, lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """The text of a JSON artifact: sorted keys, indent 2 and a trailing
+    newline. A dataclass is written as its fields and a word as its text."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_value) + "\n"
+
+
+def _json_value(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj.to_text()
 
 
 def loads(text: str) -> tuple[str, dict]:

@@ -548,7 +548,10 @@ class EpochSchedule:
 
     @classmethod
     def from_description(cls, d: Mapping) -> "EpochSchedule":
-        return cls(kind=field(d, "kind", str), base=typed("base", d.get("base", 4), int))
+        kind = field(d, "kind", str)
+        if kind == "tower" and "base" in d:
+            raise ConfigError("a tower schedule has no 'base' field")
+        return cls(kind=kind, base=typed("base", d.get("base", 4), int))
 
 
 @dataclass(frozen=True)
@@ -718,9 +721,10 @@ def source_from_description(d: Mapping) -> WordSource:
     """The source a description names; a missing field, or one of the
     wrong type, raises ConfigError naming it."""
     kind = field(d, "kind", str)
-    if kind == "squarefree":
-        return SquarefreeSource(typed("capacity", d.get("capacity", 1 << 21), int))
     alphabet = Alphabet(field(d, "alphabet", int))
+    if kind == "squarefree":
+        return _over(alphabet, "a squarefree source is over 2 letters",
+                     SquarefreeSource(typed("capacity", d.get("capacity", 1 << 21), int)))
     if kind == "periodic":
         return PeriodicSource(field(d, "cycle", str), alphabet)
     if kind == "substitution":

@@ -177,7 +177,8 @@ def test_trace_over_symbols_outside_the_table_alphabet_exit_3(files, tmp_path, c
     assert not (tmp_path / "t" / "trace.csv").exists()
 
 
-def test_check_command(files, tmp_path, capsys):
+def test_check_command(files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # check.json goes to ./cocyclelab-out
     assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
                  files["tm.source"], "--n", "256"]) == 0
     assert "witness u=0 ell0=1" in capsys.readouterr().out
@@ -201,6 +202,16 @@ def test_env_var_default_outdir(files, tmp_path, monkeypatch, capsys):
     assert main(["trace", "--cocycle", files["fib.cocycle"], "--source",
                  files["zero.source"], "--horizon", "64"]) == 0
     assert (tmp_path / "envout" / "trace.csv").exists()
+
+
+def test_check_writes_into_the_env_var_outdir(files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COCYCLELAB_OUT", str(tmp_path / "envout"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--cocycle", files["pos.cocycle"], "--source",
+                 files["tm.source"], "--n", "256"]) == 0
+    doc = json.loads((tmp_path / "envout" / "check.json").read_text())
+    assert doc == {"witness": {"u": "0", "ell0": 1, "b": 1.0}}
+    assert not (tmp_path / "cocyclelab-out").exists()
 
 
 @pytest.mark.parametrize("override", ["horizon=abc", "seed=x", "k0=abc", "horizons=5", "seed=7.9"])
@@ -229,6 +240,15 @@ def test_trace_on_a_cocycle_without_depth_exit_2(files, tmp_path):
         "alphabet": 2, "matrices": {"0": [[1.0, 1.0], [1.0, 0.0]], "1": [[1.0, 0.0], [1.0, 1.0]]}}))
     assert main(["trace", "--cocycle", str(path), "--source", files["tm.source"],
                  "--horizon", "64", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_spectrum_with_states_other_than_the_potential_size_exit_3(tmp_path, capsys):
+    path = tmp_path / "five.wavg"
+    path.write_text(textform.dumps("weighted_average", {**textform.loads(BESICOVITCH)[1],
+                                                        "states": 5}))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "states = 5, but the potential is 2 x 2" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
 
 
 def test_spectrum_without_potential_exit_2(tmp_path):
@@ -423,6 +443,14 @@ def test_run_nolimit_with_a_schedule_base_exit_2(tmp_path, capsys):
     assert main(["run", "nolimit", "--override", "schedule_base=7",
                  "--out", str(tmp_path)]) == 2
     assert "unknown override 'schedule_base'" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_run_with_a_tower_schedule_and_a_base_exit_2(tmp_path, capsys):
+    # a tower schedule reads no base, so a config that sets one is refused
+    assert main(["run", "nonergodic-4", "--override", "schedule=tower",
+                 "--out", str(tmp_path)]) == 2
+    assert "a tower schedule has no 'base' field" in capsys.readouterr().err
     assert not (tmp_path / "verdict.json").exists()
 
 

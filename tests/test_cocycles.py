@@ -275,6 +275,12 @@ def test_trace_nilpotent_zero_index():
     assert trace.slope_estimate() == -np.inf
 
 
+def test_trace_at_one_checkpoint_slopes_from_the_origin():
+    # no earlier checkpoint to difference against: the slope is value / n
+    trace = cl.lyapunov_trace(positive_spec(), tm_source(), [37])
+    assert trace.slope_estimate() == trace.values[0] / 37
+
+
 def test_trace_thue_morse_stabilizes():
     spec = positive_spec()
     trace = cl.lyapunov_trace(spec, tm_source(), [100_000, 200_000])
@@ -415,6 +421,15 @@ def test_positivity_witness_needs_two_steps():
     assert np.array_equal(hit.product.entries, expected) and hit.b == expected.min()
     exhaustive = cl.check_positivity_condition(spec, sample, max_ell=3, exhaustive=True)
     assert exhaustive.ell0 == 2
+
+
+def test_observed_positivity_stops_at_a_prefix_shorter_than_the_next_window():
+    # neither letter is positive and 00 is not; the 2-symbol prefix holds no
+    # 3-step window, so the search ends there with no witness
+    table = {"0": [[1.0, 1.0], [0.0, 1.0]], "1": [[1.0, 0.0], [1.0, 1.0]]}
+    spec = cl.CocycleSpec(A2, 1, table)
+    assert cl.check_positivity_condition(spec, word("00", 2), max_ell=4) is None
+    assert cl.check_positivity_condition(spec, word("01", 2), max_ell=4).ell0 == 2
 
 
 def test_positivity_no_witness_for_diagonal_family():

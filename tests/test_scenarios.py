@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import warnings
 
 import jsonschema
@@ -51,7 +53,7 @@ def test_scenario_descriptions_round_trip():
         parts = s.build(config)
         for key, desc in s.descriptions(config).items():
             assert parts[key].describe() == desc, (name, key)
-        for key in ("source", "weighted"):
+        for key in ("source", "weighted_average"):
             obj = parts.get(key)
             if obj is None:
                 continue
@@ -165,7 +167,7 @@ def test_every_scenario_passes_and_its_source_round_trips(name):
     assert passed, (doc["expected"], doc["observed"])
     scenario, config = scenarios.resolve_config(name, SCALED.get(name))
     parts = scenario.build(config)
-    source = parts["source"] if "source" in parts else parts["weighted"].weight_source
+    source = parts["source"] if "source" in parts else parts["weighted_average"].weight_source
     desc = source.describe()
     _, data = textform.loads(textform.dumps("source", desc))
     rebuilt = cl.source_from_description(data)
@@ -187,6 +189,48 @@ def test_cli_trace_on_the_scenario_descriptions_reproduces_its_trace(name, tmp_p
                          str(paths["source"]), "--horizon", str(config["horizon"]),
                          "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "trace.csv").read_text() == files["trace.csv"]
+
+
+# the file option each block is read from, and each step's artifact with the
+# command options that make it from the run's config
+FILE_OPTIONS = {"source": "--source", "cocycle": "--cocycle", "weighted_average": "--spec"}
+COMMANDS = {
+    "trace": ("trace.csv", lambda c: ["--horizon", str(c["horizon"])]),
+    "returns": ("returns.json", lambda c: ["--n", str(c["horizon"]), "--k0", str(c["k0"]),
+                                           "--cutoff", str(c["cutoff"])]),
+    "spectrum": ("spectrum.csv", lambda c: [
+        f"--beta-min={c['beta_min']}", f"--beta-max={c['beta_max']}",
+        "--beta-count", str(c["beta_count"]), "--horizon", str(c["horizon"])]),
+}
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["defaults", "scaled"])
+@pytest.mark.parametrize("name", list(scenarios.REGISTRY))
+def test_each_part_as_a_file_is_what_its_command_reads(name, scaled, tmp_path):
+    overrides = SCALED.get(name) if scaled else None
+    scenario, config = scenarios.resolve_config(name, overrides)
+    _, files, _ = scenarios.run_scenario(name, overrides)
+    options = []
+    for part, desc in scenario.descriptions(config).items():
+        block, path = scenarios.block_name(part), tmp_path / f"{part}.txt"
+        path.write_text(textform.dumps(block, desc))
+        assert cli._load(str(path), block).describe() == desc, part
+        if part == block:
+            options += [FILE_OPTIONS[block], str(path)]
+    for step in set(scenario.steps) & set(COMMANDS):
+        artifact, config_options = COMMANDS[step]
+        out = tmp_path / step
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([step, *options, *config_options(config), "--out", str(out)]) == 0
+        assert (out / artifact).read_text() == files[artifact], step
+
+
+def test_readme_lists_the_part_names_the_registry_uses():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        listed = handle.read().split("the descriptions of its parts (", 1)[1].split(")", 1)[0]
+    used = {part for s in scenarios.REGISTRY.values() for part in s.parts}
+    assert sorted(re.findall(r"`([a-z_]+)`", listed)) == sorted(used)
+    assert set(map(scenarios.block_name, used)) == set(scenarios.READERS)
 
 
 @pytest.mark.parametrize("name", list(scenarios.REGISTRY))

@@ -67,6 +67,14 @@ def test_psi_nonperiodic_source_agrees_with_closed_form():
     )
 
 
+def test_psi_at_horizon_one_is_the_first_factors_log_norm():
+    # one checkpoint on an aperiodic stream: log ||exp(beta * v_0 * f)|| / 1
+    src = cl.SubstitutionSource({0: "01", 1: "10"}, 0, cl.Alphabet(2))
+    spec = binary_indicator_spec(weights=(1.0, -1.0), source=src)
+    first = np.exp(0.7 * 1.0 * spec.potential)
+    assert cl.psi(spec, 0.7, horizon=1) == pytest.approx(math.log(first.sum()), rel=1e-15)
+
+
 def _entropy_over_log2(alpha):
     alpha = min(max(alpha, 1e-300), 1 - 1e-300)
     return -(alpha * math.log(alpha) + (1 - alpha) * math.log(1 - alpha)) / math.log(2)

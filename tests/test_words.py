@@ -10,6 +10,7 @@ import cocyclelab as cl
 from cocyclelab import words
 from cocyclelab.errors import (
     CapacityError,
+    ConfigError,
     DomainError,
     InvalidProgramError,
     MarkerNotFoundError,
@@ -76,12 +77,24 @@ def _rebuild_kwargs(src):
      "need one probability per symbol"),
     ({"kind": "markov", "alphabet": 3, "transition": [[0.5, 0.5], [0.5, 0.5]],
       "initial": [0.5, 0.5], "seed": 1}, "transition must be m x m and initial length m"),
+    ({"kind": "squarefree", "alphabet": 3, "capacity": 64}, "a squarefree source is over 2 letters"),
 ])
 def test_sampler_description_alphabet_must_match_its_parameters(desc, mismatch):
     with pytest.raises(DomainError, match=mismatch):
         cl.source_from_description(desc)
     desc = {**desc, "alphabet": 2}
     assert cl.source_from_description(desc).describe() == desc
+
+
+def test_a_tower_schedule_description_with_a_base_is_refused():
+    # the tower thresholds 2^(2^i) read no base, so a description naming one
+    # would not be what the built source describes
+    desc = prefix_doubling_description(cl.BernoulliSource([0.5, 0.5], seed=3),
+                                       cl.EpochSchedule(kind="tower"))
+    assert desc["schedule"] == {"kind": "tower"}
+    assert cl.source_from_description(desc).describe() == desc
+    with pytest.raises(ConfigError, match="a tower schedule has no 'base' field"):
+        cl.source_from_description({**desc, "schedule": {"kind": "tower", "base": 7}})
 
 
 def test_markov_rows_must_be_stochastic():
